@@ -20,7 +20,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from multiprocessing import get_context
 from typing import Optional
 
 import mpmath as mp
@@ -59,6 +58,12 @@ class RunConfig:
     output: Optional[str] = None
     checkpoint_path: Optional[str] = None
     checkpoint_every: int = 1 << 20
+
+    def __post_init__(self):
+        for name in ("workers", "chunk", "checkpoint_every"):
+            if getattr(self, name) < 1:
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"{flag} must be >= 1, got {getattr(self, name)}")
 
     def fingerprint(self) -> str:
         """Hash of the semantic configuration only.
@@ -141,16 +146,6 @@ def _read_checkpoint(path: str) -> dict:
     return doc
 
 
-def _pool_map_ordered(fn, items, workers):
-    items = list(items)
-    if workers > 1 and len(items) > 1:
-        with get_context().Pool(min(workers, len(items))) as pool:
-            yield from pool.imap(fn, items)
-    else:
-        for item in items:
-            yield fn(item)
-
-
 # ---------------------------------------------------------------------------
 # command handlers
 
@@ -158,7 +153,7 @@ def _pool_map_ordered(fn, items, workers):
 def _cmd_terms(cfg: RunConfig):
     spec = exactseq.RangeSpec(cfg.lo, cfg.hi, cfg.chunk)
     rows = []
-    for block in _pool_map_ordered(_terms_block, list(spec.chunks()), cfg.workers):
+    for block in exactseq.ordered_map(_terms_block, spec.chunks(), cfg.workers):
         for t in block:
             rows.append({
                 "n": t.n, "p": str(t.p), "f": str(t.f), "y": str(t.y),
@@ -486,7 +481,10 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     workers = args.workers
     if workers is None:
-        workers = int(os.environ.get(ENV_WORKERS, "1"))
+        text = os.environ.get(ENV_WORKERS, "1")
+        workers = int(text) if text.strip().isdecimal() else 0
+        if workers < 1:
+            raise ValueError(f"${ENV_WORKERS} must be an integer >= 1, got {text!r}")
     lo = hi = None
     if getattr(args, "range", None):
         lo, hi = args.range
@@ -524,7 +522,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return run(config_from_args(args))
+    try:
+        config = config_from_args(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return run(config)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactseq import DEFAULT_BITS, FixedFrac
+from .exactseq import DEFAULT_BITS, FixedFrac, fd_blocks
 
 _LIMB = 48
 _LOW_MASK = (1 << _LIMB) - 1
@@ -97,24 +97,22 @@ def _ensure_table(n: int, bits: int) -> dict:
         raise ValueError(f"limb cache supports at most {2*_LIMB} bits")
     t = _tables.get(bits)
     if t is None:
-        t = {"n": 0, "p": 0,
+        t = {"n": 0,
              "floats": np.empty(0), "hi": np.empty(0, np.int64), "lo": np.empty(0, np.int64)}
         _tables[bits] = t
     if t["n"] >= n:
         return t
-    start, p = t["n"] + 1, t["p"]
     scale = float(1 << bits)
     two_bits = 2 * bits
     isq = math.isqrt
     new_f, new_hi, new_lo = [], [], []
-    for i in range(start, n + 1):
-        p += i * i
-        f = isq(p)
-        mant = isq(p << two_bits) - (f << bits)
-        new_f.append(mant / scale)
-        new_hi.append(mant >> _LIMB)
-        new_lo.append(mant & _LOW_MASK)
-    t["n"], t["p"] = n, p
+    for _, fs, ds in fd_blocks(t["n"] + 1, n):
+        for f, d in zip(fs.tolist(), ds.tolist()):
+            mant = isq((f * f + d) << two_bits) - (f << bits)
+            new_f.append(mant / scale)
+            new_hi.append(mant >> _LIMB)
+            new_lo.append(mant & _LOW_MASK)
+    t["n"] = n
     t["floats"] = np.concatenate([t["floats"], np.array(new_f, np.float64)])
     t["hi"] = np.concatenate([t["hi"], np.array(new_hi, np.int64)])
     t["lo"] = np.concatenate([t["lo"], np.array(new_lo, np.int64)])
@@ -296,19 +294,16 @@ def half_distance_histogram(x: int, bins: int) -> HistogramResult:
     ll = L * L
     counts = [0] * (bins + 1)
     flagged = 0
-    p = 0
     isq = math.isqrt
-    for n in range(1, x + 1):
-        p += n * n
-        f = isq(p)
-        d = p - f * f
-        if d == 0:
-            counts[1] += 1
-            flagged += 1
-            continue
-        r = isq(ll * p)
-        j = r - L * f + 1 if d <= f else L * (f + 1) - r
-        counts[j] += 1
+    for _, fs, ds in fd_blocks(1, x):
+        for f, d in zip(fs.tolist(), ds.tolist()):
+            if d == 0:
+                counts[1] += 1
+                flagged += 1
+                continue
+            r = isq(ll * (f * f + d))
+            j = r - L * f + 1 if d <= f else L * (f + 1) - r
+            counts[j] += 1
     return HistogramResult(x, bins, tuple(counts[1:]), flagged)
 
 

@@ -2,7 +2,9 @@
 
 Everything in this module is decided by integer comparisons: no floating
 point result ever determines a classification.  The only floats appear in
-certified prefilters whose error bounds are argued inline.
+certified prefilters whose error bounds are argued inline, and as the
+starting root estimate of the vector (f, d) kernel, block_fd, whose every
+result is then proved by an integer check.
 
 Conventions used throughout:
 
@@ -20,9 +22,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from multiprocessing import get_context
 from typing import Iterator
 
+import numpy as np
+
 DEFAULT_BITS = 96
+FD_CAP = 10**10      # last index the vector (f, d) kernel accepts; see block_fd
+SUB_BLOCK = 1 << 12  # indices per kernel call, which bounds its transient arrays
 
 
 class Side(Enum):
@@ -141,26 +148,94 @@ def term(n: int) -> Term:
 def stream_terms(spec: RangeSpec) -> Iterator[Term]:
     """Yield Term for every n in [lo, hi] in order.
 
-    The square pyramidal number is carried incrementally (p += n^2), so a
-    full streaming pass costs one exact isqrt per index.  Disjoint chunks
+    (f, d) come from the block_fd kernel and p = f^2 + d.  Disjoint chunks
     from spec.chunks() can be processed by independent workers and merged
     by index; any aggregation layered on top must be associative and
     commutative over disjoint ranges.
     """
-    p = pyramidal(spec.lo - 1)
-    for n in range(spec.lo, spec.hi + 1):
-        p += n * n
-        f = math.isqrt(p)
-        d = p - f * f
-        if d <= f:  # 4p < (2f+1)^2
-            yield Term(n, p, f, f, d, Side.BELOW_HALF)
-        else:
-            yield Term(n, p, f, f + 1, 2 * f + 1 - d, Side.ABOVE_HALF)
+    for lo, fs, ds in fd_blocks(spec.lo, spec.hi):
+        for n, f, d in zip(range(lo, spec.hi + 1), fs.tolist(), ds.tolist()):
+            if d <= f:  # 4p < (2f+1)^2
+                yield Term(n, f * f + d, f, f, d, Side.BELOW_HALF)
+            else:
+                yield Term(n, f * f + d, f, f + 1, 2 * f + 1 - d, Side.ABOVE_HALF)
 
 
 def terms_block(lo: int, hi: int) -> list[Term]:
     """Materialized stream_terms over one chunk; picklable worker unit."""
     return list(stream_terms(RangeSpec(lo, hi, chunk=hi - lo + 1)))
+
+
+def scan_fd(lo: int, hi: int) -> tuple[list[int], list[int]]:
+    """(f, d) for n in [lo, hi] by one big-int isqrt each: block_fd's reference and fallback."""
+    p = pyramidal(lo - 1)
+    fs, ds = [], []
+    for n in range(lo, hi + 1):
+        p += n * n
+        f = math.isqrt(p)
+        fs.append(f)
+        ds.append(p - f * f)
+    return fs, ds
+
+
+def block_fd(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact f = isqrt(P_n) and d = P_n - f^2 for every n in [lo, hi].
+
+    Up to FD_CAP a vector kernel gives int64 arrays: P_n mod 2^64 by a
+    wrapping uint64 cumsum, f from a float64 sqrt, d = P_n - f^2 mod 2^64 read
+    as int64, one +-1 step on f, and the block is kept only if 0 <= d <= 2f.
+
+    The float root: n, n+1 and 2n+1 are exact doubles, two products and a
+    division by 6 round once each and the sqrt once more, so with u = 2^-53
+    the estimate is within 2.52u sqrt(P) of sqrt(P).  At n = FD_CAP that is
+    below 0.17 (sqrt(P) < 5.78e14), so the start is f-1, f or f+1; the bound
+    reaches 1 only near n = 3.3e10.
+    The residue: if |f' - sqrt(P)| <= 2 then |P - f'^2| <= 4 sqrt(P) + 4 <
+    2^53, so the int64 reading of the residue mod 2^64 is the true
+    difference, and 0 <= d <= 2f says f^2 <= P < (f+1)^2: acceptance proves
+    every element.  A wrong residue needs f' off by 2^63 / (2 sqrt(P) + 1) >
+    7000, far outside the 0.17 bound.
+
+    Blocks past FD_CAP, or failing the check, come from scan_fd as object
+    arrays of exact Python ints, so callers see the same values on either
+    path.  Callers pass at most SUB_BLOCK indices (fd_blocks), which bounds
+    the kernel's memory.
+    """
+    if lo < 1 or hi < lo:
+        raise ValueError(f"invalid range [{lo}, {hi}]")
+    if hi <= FD_CAP:
+        n = np.arange(lo, hi + 1, dtype=np.uint64)
+        sq = n * n
+        sq[0] = pyramidal(lo) % (1 << 64)
+        p = np.cumsum(sq)
+        nf = n.astype(np.float64)
+        f = np.sqrt(nf * (nf + 1.0) * (2.0 * nf + 1.0) / 6.0).astype(np.int64)
+        fu = f.view(np.uint64)  # shares memory with f
+        d = (p - fu * fu).view(np.int64)
+        f += (d > 2 * f).astype(np.int64) - (d < 0)
+        d = (p - fu * fu).view(np.int64)
+        if d.min() >= 0 and (2 * f - d).min() >= 0:
+            return f, d
+    fs, ds = scan_fd(lo, hi)
+    return np.array(fs, dtype=object), np.array(ds, dtype=object)
+
+
+def fd_blocks(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(s, f, d) per sub-block of at most SUB_BLOCK indices covering [lo, hi]; f[i] is index s+i."""
+    for s in range(lo, hi + 1, SUB_BLOCK):
+        yield (s, *block_fd(s, min(s + SUB_BLOCK - 1, hi)))
+
+
+def ordered_map(fn, items, workers: int = 1) -> Iterator:
+    """fn(item) for each item, in item order; a pool of up to `workers` processes runs them."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    items = list(items)
+    if workers > 1 and len(items) > 1:
+        with get_context().Pool(min(workers, len(items))) as pool:
+            yield from pool.imap(fn, items)
+    else:
+        yield from map(fn, items)
 
 
 def frac_sqrt(n: int, bits: int = DEFAULT_BITS) -> FixedFrac:
@@ -200,16 +275,18 @@ def in_exceptional(n: int) -> bool:
 
 
 def exceptional_indices(x: int) -> list[int]:
-    """All n <= x with in_exceptional(n), by exhaustive exact scan."""
+    """All n <= x with in_exceptional(n), by exhaustive exact scan.
+
+    With p = f^2 + d its two memberships read 2d <= 2f + 1 and 4d < 4f + 1;
+    both are evaluated, as vector compares on each (f, d) sub-block.
+    """
     if x < 1:
         raise ValueError("scan bound must be >= 1")
     out = []
-    p = 0
-    for n in range(1, x + 1):
-        p += n * n
-        f = math.isqrt(p)
-        if (2 * p <= f * f + (f + 1) * (f + 1)) != (4 * p < (2 * f + 1) ** 2):
-            out.append(n)
+    for lo, f, d in fd_blocks(1, x):
+        root_is_lower = 2 * d <= 2 * f + 1
+        int_is_lower = 4 * d < 4 * f + 1
+        out.extend((np.flatnonzero(root_is_lower != int_is_lower) + lo).tolist())
     return out
 
 
@@ -241,8 +318,10 @@ def near_half_count(x: int, bits: int = DEFAULT_BITS) -> tuple[int, int]:
 
     A certified float prefilter skips indices whose margin provably clears
     the window: the margin equals |4p - (2f+1)^2| / (4(sqrt(p)+f+1/2)) with
-    an exact integer numerator, so a small safety factor on the float
-    denominator gives a one-sided bound.
+    an exact integer numerator 4d - 4f - 1, so a small safety factor on the
+    float denominator gives a one-sided bound.  The prefilter runs as vector
+    compares on each (f, d) sub-block; only the survivors take the exact
+    fixed-point path.
     """
     if x < 1:
         raise ValueError("scan bound must be >= 1")
@@ -255,24 +334,19 @@ def near_half_count(x: int, bits: int = DEFAULT_BITS) -> tuple[int, int]:
     cutoff = (t_int + 4) / scale  # strictly above the window + flag zone
     count = 0
     borderline = 0
-    p = 0
     two_bits = 2 * bits
-    for n in range(1, x + 1):
-        p += n * n
-        f = math.isqrt(p)
-        g = 4 * p - (2 * f + 1) ** 2
-        if g == 0:
-            continue  # parity: cannot happen
-        d = p - f * f
-        if d == 0:
-            continue  # perfect square, excluded from the window
-        den_up = 8.0 * math.sqrt(p) * (1.0 + 1e-12) + 4.0
-        if abs(g) > cutoff * den_up:
-            continue  # margin certainly exceeds T + 2 ulps
-        mant = math.isqrt(p << two_bits) - (f << bits)
-        m = abs(mant - half)
-        if abs(m - t_int) <= 2:
-            borderline += 1
-        elif m < t_int:
-            count += 1
+    for _, f, d in fd_blocks(1, x):
+        g = 4 * d - 4 * f - 1  # 4p - (2f+1)^2, odd so never 0
+        sqrt_p = np.sqrt(f.astype(np.float64) ** 2 + d.astype(np.float64))
+        den_up = 8.0 * sqrt_p * (1.0 + 1e-12) + 4.0
+        # perfect squares (d = 0) are excluded from the window; a margin
+        # above cutoff certainly exceeds T + 2 ulps
+        for i in np.flatnonzero((d != 0) & (np.abs(g) <= cutoff * den_up)).tolist():
+            fi = int(f[i])
+            mant = math.isqrt((fi * fi + int(d[i])) << two_bits) - (fi << bits)
+            m = abs(mant - half)
+            if abs(m - t_int) <= 2:
+                borderline += 1
+            elif m < t_int:
+                count += 1
     return count, borderline

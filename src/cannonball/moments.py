@@ -15,11 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import get_context
+from itertools import repeat
 
 import mpmath as mp
+import numpy as np
 
-from .exactseq import pyramidal
+from .exactseq import RangeSpec, fd_blocks, ordered_map
 
 K_MAX = 12          # accumulator cap; configurable but bounded on purpose
 WORK_PREC = 256     # binary precision for main terms and residuals
@@ -68,56 +69,19 @@ class FitReport:
     intercept: float
 
 
-def _sums_k1(lo: int, hi: int) -> tuple[int]:
-    p = pyramidal(lo - 1)
-    isq = math.isqrt
-    s1 = 0
-    for n in range(lo, hi + 1):
-        p += n * n
-        f = isq(p)
-        d = p - f * f
-        s1 += d if d <= f else 2 * f + 1 - d
-    return (s1,)
-
-
-def _sums_k123(lo: int, hi: int) -> tuple[int, int, int]:
-    p = pyramidal(lo - 1)
-    isq = math.isqrt
-    s1 = s2 = s3 = 0
-    for n in range(lo, hi + 1):
-        p += n * n
-        f = isq(p)
-        d = p - f * f
-        a = d if d <= f else 2 * f + 1 - d
-        aa = a * a
-        s1 += a
-        s2 += aa
-        s3 += aa * a
-    return s1, s2, s3
-
-
-def _sums_generic(lo: int, hi: int, ks: tuple[int, ...]) -> tuple[int, ...]:
-    p = pyramidal(lo - 1)
-    isq = math.isqrt
-    sums = [0] * len(ks)
-    for n in range(lo, hi + 1):
-        p += n * n
-        f = isq(p)
-        d = p - f * f
-        a = d if d <= f else 2 * f + 1 - d
-        for i, k in enumerate(ks):
-            sums[i] += a ** k
-    return tuple(sums)
-
-
 def _block_sums(args) -> tuple[int, ...]:
     """Worker unit: exact power sums over one index chunk."""
     lo, hi, ks = args
-    if ks == (1,):
-        return _sums_k1(lo, hi)
-    if ks == (1, 2, 3):
-        return _sums_k123(lo, hi)
-    return _sums_generic(lo, hi, ks)
+    sums = [0] * len(ks)
+    for _, f, d in fd_blocks(lo, hi):
+        a = np.where(d <= f, d, 2 * f + 1 - d)
+        # The int64 sum is exact: on the kernel path a <= f < 2^50 below
+        # FD_CAP and a sub-block holds at most 2^12 terms, so it stays below
+        # 2^62; past the cap a holds Python ints.
+        values = a.tolist() if max(ks) > 1 else None
+        for i, k in enumerate(ks):
+            sums[i] += int(a.sum()) if k == 1 else sum(map(pow, values, repeat(k)))
+    return tuple(sums)
 
 
 def _check_k(k: int):
@@ -145,35 +109,22 @@ def power_sums_at(xs, ks, workers: int = 1, chunk: int = 1 << 16,
     if len(marks) != len(xs):
         raise ValueError(f"snapshot points below the resume index {start_n}")
     # chunks never straddle a snapshot point, so every mark is a block end
-    blocks = []
-    lo = start_n
+    blocks, lo = [], start_n
     for m in marks:
-        while lo <= m:
-            hi = min(lo + chunk - 1, m)
-            blocks.append((lo, hi, ks))
-            lo = hi + 1
+        blocks += [(a, b, ks) for a, b in RangeSpec(lo, m, chunk).chunks()]
+        lo = m + 1
 
     sums = list(init) if init is not None else [0] * len(ks)
     out: dict[int, tuple[int, ...]] = {}
     want = set(xs)
 
-    def consume(block, result):
-        nonlocal sums
+    for block, result in zip(blocks, ordered_map(_block_sums, blocks, workers)):
         sums = [s + r for s, r in zip(sums, result)]
         last = block[1]
         if last in want:
             out[last] = tuple(sums)
         if progress is not None:
             progress(last, tuple(sums))
-
-    if workers > 1 and len(blocks) > 1:
-        ctx = get_context()
-        with ctx.Pool(processes=min(workers, len(blocks))) as pool:
-            for block, result in zip(blocks, pool.imap(_block_sums, blocks)):
-                consume(block, result)
-    else:
-        for block in blocks:
-            consume(block, _block_sums(block))
     return out
 
 
@@ -244,28 +195,26 @@ def sandwich(x: int, k: int, L: int, bits: int = SANDWICH_BITS) -> SandwichResul
     w_lo = [0] * (nbins + 1)   # 1-indexed bins
     w_hi = [0] * (nbins + 1)
     exact = 0
-    p = 0
     ll = L * L
     isq = math.isqrt
-    for n in range(1, x + 1):
-        p += n * n
-        f = isq(p)
-        d = p - f * f
-        if d == 0:
-            continue
-        r = isq(ll * p)  # floor(L sqrt(p)); never exact here since p is not square
-        if d <= f:
-            y = f
-            j = r - L * f + 1
-        else:
-            y = f + 1
-            j = L * y - r
-        s_lo = isq(p << (2 * bits))
-        t_lo = s_lo + (y << bits)
-        w_lo[j] += t_lo ** k
-        w_hi[j] += (t_lo + 1) ** k
-        a = d if d <= f else 2 * f + 1 - d
-        exact += a ** k
+    for _, fs, ds in fd_blocks(1, x):
+        for f, d in zip(fs.tolist(), ds.tolist()):
+            if d == 0:
+                continue
+            p = f * f + d
+            r = isq(ll * p)  # floor(L sqrt(p)); never exact here since p is not square
+            if d <= f:
+                y = f
+                j = r - L * f + 1
+            else:
+                y = f + 1
+                j = L * y - r
+            s_lo = isq(p << (2 * bits))
+            t_lo = s_lo + (y << bits)
+            w_lo[j] += t_lo ** k
+            w_hi[j] += (t_lo + 1) ** k
+            a = d if d <= f else 2 * f + 1 - d
+            exact += a ** k
     lower_num = sum((j - 1) ** k * w_lo[j] for j in range(1, nbins + 1))
     upper_num = sum(j ** k * w_hi[j] for j in range(1, nbins + 1))
     den = L ** k << (k * bits)

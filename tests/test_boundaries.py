@@ -1,0 +1,68 @@
+"""Bad sizes and settings end in a clean error, never a hang or a traceback.
+
+A non-positive chunk once made the block planner loop forever while its
+block list grew, so those cases run in a child process under a time and
+address-space limit: a regression fails the test instead of hanging the
+suite or exhausting memory.
+"""
+
+import os
+import resource
+import subprocess
+import sys
+
+import pytest
+
+from cannonball import cli
+
+GUARD_SECONDS = 60
+GUARD_BYTES = 2 << 30
+GUARD_ENV = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (GUARD_BYTES, GUARD_BYTES))
+
+
+def run_guarded(args):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=GUARD_SECONDS, preexec_fn=_limit_memory, env=GUARD_ENV)
+
+
+@pytest.mark.parametrize("chunk", [0, -4096])
+def test_power_sums_at_rejects_nonpositive_chunk(chunk):
+    proc = run_guarded(["-c", (
+        "from cannonball import moments\n"
+        "try:\n"
+        f"    moments.power_sums_at([10], (1,), chunk={chunk})\n"
+        "except ValueError as exc:\n"
+        "    print('ValueError', exc)\n")])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ValueError") and "chunk" in proc.stdout
+
+
+@pytest.mark.parametrize("chunk", ["0", "-1"])
+def test_cli_rejects_nonpositive_chunk(chunk):
+    proc = run_guarded(["-m", "cannonball.cli", "moments", "--x", "10", "--chunk", chunk])
+    assert proc.returncode == 2
+    assert "--chunk must be >= 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_rejects_zero_workers(capsys):
+    assert cli.main(["moments", "--x", "10", "--workers", "0"]) == 2
+    assert "--workers must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_rejects_zero_checkpoint_every(tmp_path, capsys):
+    argv = ["moments", "--x", "10", "--checkpoint", str(tmp_path / "ck.json"),
+            "--checkpoint-every", "0"]
+    assert cli.main(argv) == 2
+    assert "--checkpoint-every must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["two", "1.5", "0"])
+def test_cli_rejects_bad_env_workers(monkeypatch, capsys, value):
+    monkeypatch.setenv(cli.ENV_WORKERS, value)
+    assert cli.main(["moments", "--x", "10"]) == 2
+    assert cli.ENV_WORKERS in capsys.readouterr().err

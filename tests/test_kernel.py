@@ -1,0 +1,163 @@
+"""The vector (f, d) kernel and the reductions built on it.
+
+block_fd is checked against a from-scratch math.isqrt of the closed-form
+P_n and against the brute-force oracle, at random indices up to the domain
+cap and at the edges where the kernel's arithmetic changes: sub-block and
+chunk boundaries, the P_n > 2^64 crossing, and the cap itself.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cannonball import exactseq as xs
+from cannonball import moments as mo
+from conftest import oracle_term
+
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
+
+
+def reference_fd(lo, hi):
+    fs, ds = [], []
+    for n in range(lo, hi + 1):
+        p = n * (n + 1) * (2 * n + 1) // 6
+        f = math.isqrt(p)
+        fs.append(f)
+        ds.append(p - f * f)
+    return fs, ds
+
+
+def assert_exact(lo, hi):
+    f, d = xs.block_fd(lo, hi)
+    assert f.dtype == np.int64 and d.dtype == np.int64
+    assert (f.tolist(), d.tolist()) == reference_fd(lo, hi)
+
+
+def first_index_past_2_64():
+    n = round((3 * 2.0**64) ** (1 / 3))  # P_n ~ n^3 / 3
+    while xs.pyramidal(n) >= 1 << 64:
+        n -= 1
+    while xs.pyramidal(n) < 1 << 64:
+        n += 1
+    return n
+
+
+class TestBlockFd:
+    @PROPERTY
+    @given(lo=st.integers(1, xs.FD_CAP - 63), length=st.integers(1, 64))
+    def test_random_blocks_below_cap(self, lo, length):
+        assert_exact(lo, lo + length - 1)
+
+    @PROPERTY
+    @given(n=st.integers(1, xs.FD_CAP))
+    def test_single_index_matches_oracle(self, n):
+        f, d = xs.block_fd(n, n)
+        f, d = int(f[0]), int(d[0])
+        _, y, a = oracle_term(n)
+        assert (f if d <= f else f + 1, min(d, 2 * f + 1 - d)) == (y, a)
+
+    def test_first_block(self):
+        assert_exact(1, xs.SUB_BLOCK)
+
+    @pytest.mark.parametrize("edge", [xs.SUB_BLOCK, 3 * xs.SUB_BLOCK, 1 << 16, 7 << 16])
+    def test_sub_block_and_chunk_edges(self, edge):
+        lo, hi = edge - 40, edge + 40
+        seen = []
+        for s, f, d in xs.fd_blocks(lo, hi):
+            assert len(f) <= xs.SUB_BLOCK
+            seen.append((s, f.tolist(), d.tolist()))
+        assert [s for s, _, _ in seen] == list(range(lo, hi + 1, xs.SUB_BLOCK))
+        fs = [v for _, f, _ in seen for v in f]
+        ds = [v for _, _, d in seen for v in d]
+        assert (fs, ds) == reference_fd(lo, hi)
+        assert_exact(edge - 1, edge + 1)
+
+    def test_crossing_2_64(self):
+        n0 = first_index_past_2_64()
+        assert 3_700_000 < n0 < 3_900_000
+        assert_exact(n0 - 300, n0 + 300)
+
+    @pytest.mark.parametrize("lo", [10**9, 10**9 + 12345, xs.FD_CAP - xs.SUB_BLOCK + 1])
+    def test_spot_blocks_up_to_cap(self, lo):
+        assert_exact(lo, min(lo + 255, xs.FD_CAP))
+
+    def test_past_cap_takes_scalar_path(self):
+        lo = xs.FD_CAP - 5
+        f, d = xs.block_fd(lo, lo + 10)
+        assert f.dtype == object
+        assert (f.tolist(), d.tolist()) == reference_fd(lo, lo + 10)
+
+    def test_failed_check_takes_scalar_path(self, monkeypatch):
+        true_sqrt = np.sqrt
+        monkeypatch.setattr(np, "sqrt", lambda v: true_sqrt(v) + 3.0)
+        f, d = xs.block_fd(1000, 1100)
+        assert f.dtype == object
+        assert (f.tolist(), d.tolist()) == reference_fd(1000, 1100)
+
+    def test_scan_fd_is_the_reference(self):
+        assert xs.scan_fd(3_799_990, 3_800_010) == reference_fd(3_799_990, 3_800_010)
+
+    def test_rejects_empty_range(self):
+        with pytest.raises(ValueError):
+            xs.block_fd(0, 5)
+        with pytest.raises(ValueError):
+            xs.block_fd(10, 9)
+
+
+class TestReductionsOnKernel:
+    def test_power_sums_past_cap(self):
+        lo, hi = 2 * 10**10, 2 * 10**10 + 100
+        table = mo.power_sums_at([hi], (1, 2, 3), start_n=lo, init=[0, 0, 0])
+        a = [oracle_term(n)[2] for n in range(lo, hi + 1)]
+        assert table[hi] == tuple(sum(v ** k for v in a) for k in (1, 2, 3))
+
+    def test_power_sums_across_2_64(self):
+        n0 = first_index_past_2_64()
+        lo, hi = n0 - 5000, n0 + 5000
+        got = mo.power_sums_at([hi], (1, 2), start_n=lo, init=[0, 0], chunk=3000)[hi]
+        f, d = reference_fd(lo, hi)
+        a = [min(dd, 2 * ff + 1 - dd) for ff, dd in zip(f, d)]
+        assert got == (sum(a), sum(v * v for v in a))
+
+    @PROPERTY
+    @given(lo=st.integers(1, xs.FD_CAP - 999))
+    def test_exceptional_window_is_empty(self, lo):
+        f, d = xs.block_fd(lo, lo + 999)
+        assert ((2 * d <= 2 * f + 1) == (4 * d < 4 * f + 1)).all()
+
+    def test_exceptional_matches_definition(self):
+        x = 3 * xs.SUB_BLOCK + 17
+        assert xs.exceptional_indices(x) == [n for n in range(1, x + 1) if xs.in_exceptional(n)]
+
+
+class TestPartitionInvariance:
+    X = 9000
+    KS = (1, 2, 3, 7)
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        a = [oracle_term(n)[2] for n in range(1, self.X + 1)]
+        return tuple(sum(v ** k for v in a) for k in self.KS)
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=12)
+    @given(chunk=st.integers(1, 3 * xs.SUB_BLOCK), workers=st.sampled_from([1, 2]),
+           resume=st.integers(1, X - 1))
+    def test_any_chunk_workers_and_resume_point(self, reference, chunk, workers, resume):
+        first = mo.power_sums_at([resume], self.KS, workers=workers, chunk=chunk)[resume]
+        rest = mo.power_sums_at([self.X], self.KS, workers=workers, chunk=chunk,
+                                start_n=resume + 1, init=first)
+        assert rest[self.X] == reference
+
+
+class TestOrderedMap:
+    def test_results_in_item_order(self):
+        items = list(range(30))
+        for workers in (1, 2):
+            assert list(xs.ordered_map(abs, [-i for i in items], workers)) == items
+
+    def test_rejects_zero_workers(self):
+        with pytest.raises(ValueError):
+            list(xs.ordered_map(abs, [1, 2], 0))
