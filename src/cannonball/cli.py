@@ -8,6 +8,11 @@ byte-identical output to an uninterrupted one.  A checkpoint refuses to
 resume under a configuration whose semantic fingerprint differs (worker
 count, chunk size and checkpoint cadence are deliberately not part of the
 fingerprint).
+
+Exit status: 0 on success, 2 for bad input, 3 for a checkpoint written by
+another configuration, 4 when a result fails its own self-check (the
+sandwich bracket or the Erdos-Turan inequality), which points to a defect
+in the program rather than in the input.
 """
 
 from __future__ import annotations
@@ -64,6 +69,10 @@ class RunConfig:
             if getattr(self, name) < 1:
                 flag = "--" + name.replace("_", "-")
                 raise ValueError(f"{flag} must be >= 1, got {getattr(self, name)}")
+        for name, flag in (("K", "--K"), ("m_max", "--m-max")):
+            value = getattr(self, name)
+            if value is not None and value > equidist.MAX_HARMONIC:
+                raise ValueError(f"{flag} must be <= {equidist.MAX_HARMONIC}, got {value}")
 
     def fingerprint(self) -> str:
         """Hash of the semantic configuration only.
@@ -385,6 +394,9 @@ def run(config: RunConfig) -> int:
     except CheckpointMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except AssertionError as exc:
+        print(f"error: self-check failed: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,6 +26,14 @@ _LIMB = 48
 _LOW_MASK = (1 << _LIMB) - 1
 _FAST_M_CAP = (1 << 15) - 1  # keeps m*limb inside int64
 
+POINT_BLOCK = 1 << 15   # points per block of the exponential-sum engine
+ANCHOR = 64             # harmonics per run before a fresh direct evaluation
+# Largest harmonic count (K, m_max) accepted.  K harmonics cost K * N
+# point-harmonics, and every anchor past |m| = 32767 takes the per-point
+# big-int phase path: K = 2^20 at N = 1000 takes about 20 s on one core.
+MAX_HARMONIC = 1 << 20
+_EVAL_ERR = 21 * 2.0 ** -53  # error of one direct e(phase); see _harmonic_sums
+
 
 class PrecisionError(ValueError):
     """Raised when the requested harmonic exceeds the fixed-point budget."""
@@ -168,9 +176,106 @@ def _phase_fractions(pts: PhasePoints, m: int) -> np.ndarray:
     return np.array([(m * int(v)) % modulus for v in mants], np.float64) / scale
 
 
-def _sum_exp(pts: PhasePoints, m: int) -> complex:
-    ph = _phase_fractions(pts, m)
-    return complex(np.exp(2j * np.pi * ph).sum())
+def _slice_points(pts: PhasePoints, start: int, stop: int) -> PhasePoints:
+    s = slice(start, stop)
+    if not pts.exact:
+        return PhasePoints(pts.values[s], pts.bits)
+    return PhasePoints(pts.values[s], pts.bits, pts.hi[s], pts.lo[s])
+
+
+def _check_harmonic_count(name: str, count: int) -> None:
+    if count > MAX_HARMONIC:
+        raise ValueError(f"{name}={count} exceeds the harmonic cap {MAX_HARMONIC}")
+
+
+def _rotations(pts: PhasePoints, m: int) -> np.ndarray:
+    """e(m * x_n) for every point, evaluated directly from the reduced phase."""
+    t = (2.0 * np.pi) * _phase_fractions(pts, m)
+    z = np.empty(len(t), np.complex128)
+    np.cos(t, out=z.real)
+    np.sin(t, out=z.imag)
+    return z
+
+
+def _runs(ms: list[int]):
+    """(first position, length) of each anchor run: at most ANCHOR harmonics
+    in steps of +1, so every harmonic after the first is one rotation on."""
+    start = 0
+    for j in range(1, len(ms) + 1):
+        if j == len(ms) or ms[j] != ms[j - 1] + 1 or j - start == ANCHOR:
+            yield start, j - start
+            start = j
+
+
+def _harmonic_sums(pts: PhasePoints, ms: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """S_m = sum_n e(m * x_n) for each m in ms, with a bound on each error.
+
+    The points are walked in blocks of POINT_BLOCK, so no temporary is
+    larger than a block.  Inside a block the harmonics are walked in runs
+    of at most ANCHOR consecutive values a, a+1, ..., a+R-1.  The anchor
+    rotation e(a*x) is evaluated directly from the reduced phase; each later
+    one is the previous times e(x), one complex multiply per point, and each
+    harmonic costs one pairwise z.sum().  Block sums are accumulated in
+    point order, so results do not depend on anything but the input.
+
+    Returns (sums, bounds) with |computed S_m - S_m| <= bounds[j], where S_m
+    is the exact sum over the true points (the reals whose fixed-point
+    truncations are the limbs, or the float values themselves), and the
+    bound also covers the rounding of abs() of the computed sum.  With
+    u = 2^-53, and delta = 2^-bits for exact points (truncation of each
+    point) or u for float points (rounding of m*x):
+
+    * direct evaluation: the phase rounded to float (u) and the angle
+      2*pi*phase (2u for np.pi and the product) move e() by 2*pi*3u, and
+      cos and sin are within one ulp each, sqrt(2)u; in all
+      e_1 = (6*pi + sqrt(2))u < 21u, plus 2*pi*|m|*delta of truncation;
+    * recurrence: the step w = e(x) carries eps_w = e_1 + 2*pi*delta, and a
+      complex multiply errs by at most sqrt(5)u relative (Brent, Percival
+      and Zimmermann, Math. Comp. 2007; 2u if each part is formed with a
+      fused multiply-add, Jeannerod et al., Math. Comp. 2017).  So
+      at distance r from the anchor a, E_r <= rho*E_(r-1) + c with
+      rho = (1 + eps_w)(1 + sqrt(5)u) and c = eps_w(1 + sqrt(5)u) + sqrt(5)u,
+      hence E_r <= rho^r (E_0 + r*c) with E_0 = e_1 + 2*pi*|a|*delta: to
+      first order (r + 1)e_1 + r*sqrt(5)u + 2*pi*(|a| + r)delta per term;
+    * summation (Higham, Accuracy and Stability, sec. 4.2): a term passes
+      through at most h additions, whose errors add up to at most
+      gamma_h * sum|z_n| <= gamma_h * N(1 + E_r), gamma_h = hu/(1 - hu).
+      numpy's pairwise z.sum() adds within leaves of at most 128 terms and
+      joins the leaves in a tree of height ceil(log2(POINT_BLOCK/128)); the
+      block sums are then added one after another, and abs() costs one
+      ulp, 2u: h = 127 + ceil(log2(POINT_BLOCK/128)) + blocks + 2.
+    """
+    ms = [int(m) for m in ms]
+    n = len(pts)
+    sums = np.zeros(len(ms), np.complex128)
+    runs = list(_runs(ms))
+    recur = any(r > 1 for _, r in runs)
+    for b in range(0, n, POINT_BLOCK):
+        blk = _slice_points(pts, b, b + POINT_BLOCK)
+        step = _rotations(blk, 1) if recur else None
+        for j, r in runs:
+            z = _rotations(blk, ms[j])
+            sums[j] += z.sum()
+            for k in range(j + 1, j + r):
+                z *= step
+                sums[k] += z.sum()
+
+    u = 2.0 ** -53
+    s5u = math.sqrt(5.0) * u
+    delta = 2.0 ** -pts.bits if pts.exact else u
+    eps_w = _EVAL_ERR + 2 * math.pi * delta
+    rho = (1 + eps_w) * (1 + s5u)
+    c = eps_w * (1 + s5u) + s5u
+    tree = math.ceil(math.log2(max(POINT_BLOCK / 128, 1)))
+    h = 127 + tree + -(-n // POINT_BLOCK) + 2
+    gamma = h * u / (1 - h * u)
+    bounds = np.empty(len(ms))
+    for j, r in runs:
+        e0 = _EVAL_ERR + 2 * math.pi * abs(ms[j]) * delta
+        for k in range(r):
+            per_term = rho ** k * (e0 + k * c)
+            bounds[j + k] = n * per_term + gamma * n * (1 + per_term)
+    return sums, bounds
 
 
 def exp_sum(lo: int, hi: int, m: int, bits: int = DEFAULT_BITS,
@@ -178,8 +283,8 @@ def exp_sum(lo: int, hi: int, m: int, bits: int = DEFAULT_BITS,
     """S = sum over lo <= n <= hi of e(m * sqrt(P_n)).
 
     The integer part of m*sqrt(P_n) never matters, so phases stay small and
-    cancellation-free.  The modulus carries an absolute error bound built
-    from the per-term phase budget.
+    cancellation-free.  modulus_err is the engine's bound on the error of
+    the modulus (see _harmonic_sums).
     """
     if m == 0:
         raise ValueError("harmonic m must be nonzero")
@@ -189,12 +294,10 @@ def exp_sum(lo: int, hi: int, m: int, bits: int = DEFAULT_BITS,
         needed = math.ceil(math.log2(abs(m) * 1e12))
         raise PrecisionError(
             f"m={m} needs at least {needed} fixed-point bits (have {bits})")
-    pts = sqrt_frac_points(hi, bits, lo=lo)
-    s = _sum_exp(pts, m)
-    count = hi - lo + 1
-    err = count * 2 * math.pi * (abs(m) * 2.0 ** -bits + 2.0 ** -52)
+    sums, errs = _harmonic_sums(sqrt_frac_points(hi, bits, lo=lo), [m])
+    s = complex(sums[0])
     bound = kn_bound(lo, hi, abs(m)) if (attach_bound and lo < hi) else None
-    return ExpSum(m, lo, hi, s.real, s.imag, err, bound)
+    return ExpSum(m, lo, hi, s.real, s.imag, float(errs[0]), bound)
 
 
 def deriv_bounds(n: float) -> DerivBounds:
@@ -244,11 +347,14 @@ def erdos_turan(points, K: int, bits: int = DEFAULT_BITS) -> DiscrepancyResult:
     """Exact D(N) next to its truncated exponential-sum upper bound.
 
     et_bound = N/(K+1) + 3 * sum_{m<=K} |S_m| / m.  The inequality
-    D(N) <= et_bound + slack is asserted, where slack is the accumulated
-    phase-error budget of the computed sums.
+    D(N) <= et_bound + slack is asserted, where slack bounds the error of
+    the computed et_bound: 3 * sum err_m / m over the engine's bounds on
+    |S_m|, plus (K + 3)u * et_bound for the roundings of 3|S_m|/m and of
+    the running sum of K + 1 terms.
     """
     if K < 1:
         raise ValueError("truncation K must be >= 1")
+    _check_harmonic_count("K", K)
     pts = as_phase_points(points, bits)
     if K * 2.0 ** -pts.bits >= 1e-12 and pts.exact:
         needed = math.ceil(math.log2(K * 1e12))
@@ -256,15 +362,13 @@ def erdos_turan(points, K: int, bits: int = DEFAULT_BITS) -> DiscrepancyResult:
             f"K={K} needs at least {needed} fixed-point bits (have {pts.bits})")
     base = star_discrepancy(pts)
     n = base.N
+    sums, errs = _harmonic_sums(pts, range(1, K + 1))
     total = n / (K + 1)
     slack = 0.0
-    for m in range(1, K + 1):
-        s = abs(_sum_exp(pts, m))
-        per_term = m * 2.0 ** -pts.bits if pts.exact else m * 2.0 ** -52
-        err = n * 2 * math.pi * (per_term + 2.0 ** -52)
-        total += 3.0 * s / m
+    for m, s, err in zip(range(1, K + 1), sums.tolist(), errs.tolist()):
+        total += 3.0 * abs(s) / m
         slack += 3.0 * err / m
-    slack += 64 * 2.0 ** -52 * n  # float summation slop
+    slack += (K + 3) * 2.0 ** -53 * total
     if base.d_unnormalized > total + slack:
         raise AssertionError("discrepancy exceeded its exponential-sum bound")
     return DiscrepancyResult(n, base.d_unnormalized, base.d_star, K, float(total), float(slack))
@@ -274,8 +378,9 @@ def weyl_profile(N: int, m_max: int, bits: int = DEFAULT_BITS) -> list[tuple[int
     """|S_m(N)| / N for each harmonic m in [1, m_max]."""
     if N < 1 or m_max < 1:
         raise ValueError("need N >= 1 and m_max >= 1")
-    pts = sqrt_frac_points(N, bits)
-    return [(m, abs(_sum_exp(pts, m)) / N) for m in range(1, m_max + 1)]
+    _check_harmonic_count("m_max", m_max)
+    sums, _ = _harmonic_sums(sqrt_frac_points(N, bits), range(1, m_max + 1))
+    return [(m, abs(s) / N) for m, s in zip(range(1, m_max + 1), sums.tolist())]
 
 
 def half_distance_histogram(x: int, bins: int) -> HistogramResult:

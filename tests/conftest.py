@@ -3,14 +3,26 @@
 The oracles here deliberately avoid the library's shortcuts: the term
 oracle scans candidate roots around the floor square root and takes an
 argmin, the integer square root oracle is a from-scratch Newton iteration,
-and high-precision reference values come from mpmath.
+high-precision reference values come from mpmath, and exponential sums
+come from an exact big-int phase reduction with one cmath.exp per term.
+
+Every hypothesis test in the suite runs under one profile: derandomized,
+without a deadline and without an example database, so a run is
+reproducible and leaves nothing behind.
 """
 
+import cmath
 import math
 import os
 
 import mpmath as mp
 import pytest
+from hypothesis import settings
+
+from cannonball import exactseq as xs
+
+settings.register_profile("cannonball", deadline=None, derandomize=True, database=None)
+settings.load_profile("cannonball")
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -44,6 +56,16 @@ def oracle_term(n: int) -> tuple[int, int, int]:
         if best_a is None or d < best_a:
             best_y, best_a = y, d
     return p, best_y, best_a
+
+
+def brute_exp_sum(lo, hi, m, bits=96):
+    """Scalar reference: exact big-int phase reduction, no limb tricks."""
+    total = 0j
+    modulus = 1 << bits
+    for n in range(lo, hi + 1):
+        mant = xs.frac_sqrt(n, bits).mantissa
+        total += cmath.exp(2j * math.pi * ((m * mant) % modulus) / modulus)
+    return total
 
 
 def mp_frac_sqrt(n: int, prec: int = 160):

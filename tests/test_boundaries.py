@@ -1,11 +1,14 @@
 """Bad sizes and settings end in a clean error, never a hang or a traceback.
 
 A non-positive chunk once made the block planner loop forever while its
-block list grew, so those cases run in a child process under a time and
-address-space limit: a regression fails the test instead of hanging the
-suite or exhausting memory.
+block list grew, and a truncation K above 32767 once took a per-point
+Python path for every harmonic, so those cases run in a child process
+under a time and address-space limit: a regression fails the test instead
+of hanging the suite or exhausting memory.
 """
 
+import csv
+import io
 import os
 import resource
 import subprocess
@@ -13,7 +16,7 @@ import sys
 
 import pytest
 
-from cannonball import cli
+from cannonball import cli, equidist, moments
 
 GUARD_SECONDS = 60
 GUARD_BYTES = 2 << 30
@@ -66,3 +69,38 @@ def test_cli_rejects_bad_env_workers(monkeypatch, capsys, value):
     monkeypatch.setenv(cli.ENV_WORKERS, value)
     assert cli.main(["moments", "--x", "10"]) == 2
     assert cli.ENV_WORKERS in capsys.readouterr().err
+
+
+def test_cli_large_K_finishes():
+    proc = run_guarded(["-m", "cannonball.cli", "discrepancy", "--x", "1000", "--K", "40000"])
+    assert proc.returncode == 0, proc.stderr
+    row = next(csv.DictReader(io.StringIO(proc.stdout)))
+    assert row["K"] == "40000"
+    assert float(row["d_unnormalized"]) <= float(row["et_bound"]) + float(row["slack"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["discrepancy", "--x", "1000", "--K", str(10**15)],
+    ["weyl", "--x", "1000", "--m-max", str(10**15)],
+    ["knbound", "--x", "1000", "--m-max", str(equidist.MAX_HARMONIC + 1)],
+])
+def test_cli_rejects_harmonic_count_above_cap(argv):
+    proc = run_guarded(["-m", "cannonball.cli", *argv])
+    assert proc.returncode == 2
+    assert f"must be <= {equidist.MAX_HARMONIC}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (moments, "sandwich", ["sandwich", "--x", "100", "--L", "10"]),
+    (equidist, "erdos_turan", ["discrepancy", "--x", "100", "--K", "5"]),
+])
+def test_self_check_failure_exits_cleanly(monkeypatch, capsys, module, name, argv):
+    def fail(*args, **kwargs):
+        raise AssertionError("forced failure")
+
+    monkeypatch.setattr(module, name, fail)
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error: self-check failed: forced failure\n"
+    assert captured.out == ""

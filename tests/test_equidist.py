@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -6,16 +5,7 @@ import pytest
 
 from cannonball import equidist as eq
 from cannonball import exactseq as xs
-
-
-def brute_exp_sum(lo, hi, m, bits=96):
-    """Scalar reference: exact big-int phase reduction, no limb tricks."""
-    total = 0j
-    modulus = 1 << bits
-    for n in range(lo, hi + 1):
-        mant = xs.frac_sqrt(n, bits).mantissa
-        total += cmath.exp(2j * math.pi * ((m * mant) % modulus) / modulus)
-    return total
+from conftest import brute_exp_sum
 
 
 def brute_star_discrepancy(points):

@@ -1,0 +1,145 @@
+"""Differential tests of the blocked exponential-sum engine.
+
+equidist._harmonic_sums is compared, harmonic by harmonic, with the scalar
+big-int oracle brute_exp_sum and with a direct evaluation of each harmonic
+over the whole point set.  A comparison allows the engine's declared bound
+plus the reference's own error bound (reference_error), so a harmonic that
+leaves its bound fails.  Where the scalar oracle would be too slow to reach
+a block edge, the point block is shrunk to a few points.
+"""
+
+import cmath
+import math
+import tracemalloc
+from fractions import Fraction
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from cannonball import equidist as eq
+from conftest import brute_exp_sum
+
+U = 2.0 ** -53
+# One direct e(phase) in either reference: phase to float, the angle
+# 2*pi*phase and exp/cos/sin, each within the budget the engine states.
+EVAL_ERR = 21 * U
+
+harmonics = st.one_of(st.integers(-300, 300), st.integers(32700, 32800),
+                      st.integers(-32800, -32700))
+counts = st.sampled_from([1, 2, 63, 64, 65, 129])  # around the ANCHOR = 64 edges
+blocks = st.integers(1, 16)
+
+
+def reference_error(n, m, delta, depth):
+    """Bound on |reference - exact sum|: each term's direct evaluation and
+    point truncation delta, plus `depth` additions on every term."""
+    per_term = EVAL_ERR + 2 * math.pi * abs(m) * delta
+    gamma = depth * U / (1 - depth * U)
+    return n * per_term + gamma * n * (1 + per_term)
+
+
+def pairwise_depth(n):
+    """numpy's pairwise sum: leaves of <= 128 terms under a binary tree."""
+    return 127 + math.ceil(math.log2(max(n / 128, 1)))
+
+
+def direct_sum(pts, m):
+    return complex(np.exp(2j * np.pi * eq._phase_fractions(pts, m)).sum())
+
+
+def engine(pts, ms, block=None):
+    if block is None:
+        return eq._harmonic_sums(pts, ms)
+    with mock.patch.object(eq, "POINT_BLOCK", block):
+        return eq._harmonic_sums(pts, ms)
+
+
+def assert_within(got, bounds, refs, ref_errs):
+    assert len(got) == len(bounds) == len(refs)
+    for j, (g, b, r, e) in enumerate(zip(got.tolist(), bounds.tolist(), refs, ref_errs)):
+        assert abs(g - r) <= b + e, (j, abs(g - r), b, e)
+
+
+class TestAgainstScalarOracle:
+    @given(lo=st.integers(1, 10**5), n=st.integers(1, 40), block=blocks,
+           a=harmonics, count=counts, bits=st.sampled_from([96, 48]))
+    def test_exact_points(self, lo, n, block, a, count, bits):
+        hi = lo + n - 1
+        ms = range(a, a + count)
+        got, bounds = engine(eq.sqrt_frac_points(hi, bits, lo=lo), ms, block)
+        refs = [brute_exp_sum(lo, hi, m, bits) for m in ms]
+        errs = [reference_error(n, m, 2.0 ** -bits, n) for m in ms]
+        assert_within(got, bounds, refs, errs)
+
+    @given(values=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=40),
+           block=blocks, a=harmonics, count=counts)
+    def test_float_points(self, values, block, a, count):
+        ms = range(a, a + count)
+        got, bounds = engine(eq.as_phase_points(values), ms, block)
+        refs = []
+        for m in ms:  # m*x mod 1 reduced exactly, then rounded once
+            refs.append(sum(cmath.exp(2j * math.pi * float(Fraction(v) * m % 1))
+                            for v in values))
+        errs = [reference_error(len(values), m, 0.0, len(values)) for m in ms]
+        assert_within(got, bounds, refs, errs)
+
+
+class TestAgainstDirectEvaluation:
+    @pytest.mark.parametrize("offset", [-1, 0, 1, eq.POINT_BLOCK + 1])
+    def test_default_block_edges(self, offset):
+        n = eq.POINT_BLOCK + offset
+        pts = eq.sqrt_frac_points(n)
+        ms = range(1, 2 * eq.ANCHOR + 2)
+        got, bounds = engine(pts, ms)
+        refs = [direct_sum(pts, m) for m in ms]
+        errs = [reference_error(n, m, 2.0 ** -96, pairwise_depth(n)) for m in ms]
+        assert_within(got, bounds, refs, errs)
+
+    @given(n=st.integers(1, 1500), block=st.integers(1, 512), a=harmonics, count=counts)
+    def test_random_blocks(self, n, block, a, count):
+        pts = eq.sqrt_frac_points(n)
+        ms = range(a, a + count)
+        got, bounds = engine(pts, ms, block)
+        refs = [direct_sum(pts, m) for m in ms]
+        errs = [reference_error(n, m, 2.0 ** -96, pairwise_depth(n)) for m in ms]
+        assert_within(got, bounds, refs, errs)
+
+
+class TestCallers:
+    def test_exp_sum_is_one_anchor(self):
+        for m in (1, -7, 40000):
+            s = eq.exp_sum(3, 5000, m)
+            got, bounds = eq._harmonic_sums(eq.sqrt_frac_points(5000, lo=3), [m])
+            assert (s.re, s.im, s.modulus_err) == (got[0].real, got[0].imag, bounds[0])
+
+    def test_weyl_profile_reads_the_engine(self):
+        got, _ = eq._harmonic_sums(eq.sqrt_frac_points(4000), range(1, 9))
+        assert eq.weyl_profile(4000, 8) == [(m, abs(s) / 4000)
+                                            for m, s in enumerate(got.tolist(), 1)]
+
+    def test_slack_negligible_at_benchmark_size(self):
+        r = eq.erdos_turan(eq.sqrt_frac_points(5 * 10**5), 100)
+        assert 0 < r.slack < 1e-6 * r.et_bound
+        assert r.d_unnormalized <= r.et_bound + r.slack
+
+    def test_harmonic_count_cap(self):
+        with pytest.raises(ValueError, match="cap"):
+            eq.erdos_turan([0.25, 0.5], eq.MAX_HARMONIC + 1)
+        with pytest.raises(ValueError, match="cap"):
+            eq.weyl_profile(10, eq.MAX_HARMONIC + 1)
+
+
+def test_memory_bounded_by_block():
+    """No temporary grows with N: peak allocation stays a few blocks."""
+    block, n = 1024, 60000
+    pts = eq.sqrt_frac_points(n)
+    tracemalloc.start()
+    try:
+        engine(pts, range(1, 70), block)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * block * 16 < n * 16  # complex128 is 16 bytes

@@ -17,8 +17,6 @@ from cannonball import exactseq as xs
 from cannonball import moments as mo
 from conftest import oracle_term
 
-PROPERTY = settings(deadline=None, derandomize=True, database=None)
-
 
 def reference_fd(lo, hi):
     fs, ds = [], []
@@ -46,12 +44,10 @@ def first_index_past_2_64():
 
 
 class TestBlockFd:
-    @PROPERTY
     @given(lo=st.integers(1, xs.FD_CAP - 63), length=st.integers(1, 64))
     def test_random_blocks_below_cap(self, lo, length):
         assert_exact(lo, lo + length - 1)
 
-    @PROPERTY
     @given(n=st.integers(1, xs.FD_CAP))
     def test_single_index_matches_oracle(self, n):
         f, d = xs.block_fd(n, n)
@@ -122,7 +118,6 @@ class TestReductionsOnKernel:
         a = [min(dd, 2 * ff + 1 - dd) for ff, dd in zip(f, d)]
         assert got == (sum(a), sum(v * v for v in a))
 
-    @PROPERTY
     @given(lo=st.integers(1, xs.FD_CAP - 999))
     def test_exceptional_window_is_empty(self, lo):
         f, d = xs.block_fd(lo, lo + 999)
@@ -142,7 +137,7 @@ class TestPartitionInvariance:
         a = [oracle_term(n)[2] for n in range(1, self.X + 1)]
         return tuple(sum(v ** k for v in a) for k in self.KS)
 
-    @settings(deadline=None, derandomize=True, database=None, max_examples=12)
+    @settings(max_examples=12)
     @given(chunk=st.integers(1, 3 * xs.SUB_BLOCK), workers=st.sampled_from([1, 2]),
            resume=st.integers(1, X - 1))
     def test_any_chunk_workers_and_resume_point(self, reference, chunk, workers, resume):
