@@ -425,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--chunk", type=int, default=1 << 16,
                         help="index-range granularity for work splitting")
     common.add_argument("--bits", type=int, default=exactseq.DEFAULT_BITS,
-                        help="fixed-point precision of fractional parts")
+                        help="fixed-point precision of fractional parts "
+                             "(32 to 96 for discrepancy, weyl and knbound)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -2,10 +2,12 @@
 
 Phases for e(m * sqrt(P_n)) come from the exact fixed-point fractional
 parts: the integer m*f part of m*sqrt(P_n) contributes nothing to e(.), so
-each phase is (m * mantissa) mod 2**bits scaled back to [0, 1).  That
-product is reduced in two 48-bit limbs so the whole phase table vectorizes
-in int64 without ever overflowing, and the only inexactness left is the
-documented fixed-point error plus one float rounding.
+each phase is (m * mantissa) mod 2**bits scaled back to [0, 1).  Every
+mantissa is stored shifted left to fill 96 bits, as three 32-bit limbs in
+int64, so that product is reduced modulo 2**96 by one vectorized int64
+carry chain for every precision and every harmonic up to MAX_HARMONIC, and
+the only inexactness left is the documented fixed-point error plus one
+float rounding.
 
 The star discrepancy is the exact sorted-points supremum for the given
 point set; D(N) follows the unnormalized convention (anchored-interval
@@ -20,17 +22,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactseq import DEFAULT_BITS, FixedFrac, fd_blocks
+from .exactseq import DEFAULT_BITS, FixedFrac, fd_blocks, frac_mantissa
 
-_LIMB = 48
-_LOW_MASK = (1 << _LIMB) - 1
-_FAST_M_CAP = (1 << 15) - 1  # keeps m*limb inside int64
+_WIDTH = 96                 # exact points hold mantissa << (_WIDTH - bits)
+_MASK32 = (1 << 32) - 1
 
 POINT_BLOCK = 1 << 15   # points per block of the exponential-sum engine
 ANCHOR = 64             # harmonics per run before a fresh direct evaluation
-# Largest harmonic count (K, m_max) accepted.  K harmonics cost K * N
-# point-harmonics, and every anchor past |m| = 32767 takes the per-point
-# big-int phase path: K = 2^20 at N = 1000 takes about 20 s on one core.
+# Largest harmonic count (K, m_max) and |m| accepted.  K harmonics cost
+# K * N point-harmonics: K = 2^20 at N = 1000 takes about 10 s on one core
+# of a 2-vCPU Xeon VM, most of it per-harmonic overhead of the engine.
+# The cap also keeps every m * limb of the phase carry chain below 2^52.
 MAX_HARMONIC = 1 << 20
 _EVAL_ERR = 21 * 2.0 ** -53  # error of one direct e(phase); see _harmonic_sums
 
@@ -85,59 +87,81 @@ class PhasePoints:
 
     values: np.ndarray            # float64 views of the points
     bits: int
-    hi: Optional[np.ndarray] = None   # top mantissa limbs (int64)
-    lo: Optional[np.ndarray] = None   # low 48-bit limbs (int64)
+    limbs: Optional[np.ndarray] = None  # (N, 3) int64: mantissa << (96 - bits)
 
     def __len__(self) -> int:
         return len(self.values)
 
     @property
     def exact(self) -> bool:
-        return self.hi is not None
+        return self.limbs is not None
 
 
 # Incrementally grown tables of {sqrt(P_n)} per fixed-point precision.
 _tables: dict[int, dict] = {}
 
 
+def _check_bits(bits: int) -> None:
+    if not 32 <= bits <= _WIDTH:
+        raise ValueError(f"bits must be in [32, {_WIDTH}], got {bits}")
+
+
+def _limbs(words: list[int]) -> np.ndarray:
+    """(len(words), 3) int64 array of 32-bit limbs, least significant first."""
+    buf = b"".join([w.to_bytes(12, "little") for w in words])
+    return np.frombuffer(buf, "<u4").reshape(-1, 3).astype(np.int64)
+
+
+def _limb_phases(limbs: np.ndarray, m: int) -> np.ndarray:
+    """(m * w) mod 2^96 / 2^96 for each 96-bit word w in limbs, correctly rounded.
+
+    The carry chain c0 = m*l0, c1 = m*l1 + (c0 >> 32), c2 = m*l2 + (c1 >> 32)
+    is exact in int64 for |m| <= MAX_HARMONIC, and since >> is a floor
+    division the low 32 bits of c0, c1, c2 are the limbs of the reduced
+    product for m < 0 too.  hi48 * 2^-48 and lo48 * 2^-96 are exact doubles,
+    so their one addition rounds the exact value once.
+    """
+    c0 = m * limbs[:, 0]
+    c1 = m * limbs[:, 1] + (c0 >> 32)
+    c2 = m * limbs[:, 2] + (c1 >> 32)
+    hi48 = ((c2 & _MASK32) << 16) | ((c1 & _MASK32) >> 16)
+    lo48 = ((c1 & 0xFFFF) << 32) | (c0 & _MASK32)
+    return hi48 * 2.0 ** -48 + lo48 * 2.0 ** -96
+
+
 def _ensure_table(n: int, bits: int) -> dict:
-    if bits > 2 * _LIMB:
-        raise ValueError(f"limb cache supports at most {2*_LIMB} bits")
-    t = _tables.get(bits)
-    if t is None:
-        t = {"n": 0,
-             "floats": np.empty(0), "hi": np.empty(0, np.int64), "lo": np.empty(0, np.int64)}
-        _tables[bits] = t
-    if t["n"] >= n:
+    t = _tables.setdefault(bits, {"n": 0, "values": np.empty(0),
+                                  "limbs": np.empty((0, 3), np.int64)})
+    built = t["n"]
+    if built >= n:
         return t
-    scale = float(1 << bits)
-    two_bits = 2 * bits
-    isq = math.isqrt
-    new_f, new_hi, new_lo = [], [], []
-    for _, fs, ds in fd_blocks(t["n"] + 1, n):
-        for f, d in zip(fs.tolist(), ds.tolist()):
-            mant = isq((f * f + d) << two_bits) - (f << bits)
-            new_f.append(mant / scale)
-            new_hi.append(mant >> _LIMB)
-            new_lo.append(mant & _LOW_MASK)
-    t["n"] = n
-    t["floats"] = np.concatenate([t["floats"], np.array(new_f, np.float64)])
-    t["hi"] = np.concatenate([t["hi"], np.array(new_hi, np.int64)])
-    t["lo"] = np.concatenate([t["lo"], np.array(new_lo, np.int64)])
+    values = np.empty(n)
+    values[:built] = t["values"]
+    limbs = np.empty((n, 3), np.int64)
+    limbs[:built] = t["limbs"]
+    shift = _WIDTH - bits
+    for s, fs, ds in fd_blocks(built + 1, n):
+        blk = slice(s - 1, s - 1 + len(fs))
+        limbs[blk] = _limbs([frac_mantissa(f, d, bits) << shift
+                             for f, d in zip(fs.tolist(), ds.tolist())])
+        values[blk] = _limb_phases(limbs[blk], 1)
+    t.update(n=n, values=values, limbs=limbs)
     return t
 
 
 def sqrt_frac_points(n: int, bits: int = DEFAULT_BITS, lo: int = 1) -> PhasePoints:
     """{sqrt(P_i)} for lo <= i <= n, with exact mantissa limbs attached."""
+    _check_bits(bits)
     if lo < 1 or n < lo:
         raise ValueError("need 1 <= lo <= n")
     t = _ensure_table(n, bits)
     sl = slice(lo - 1, n)
-    return PhasePoints(t["floats"][sl], bits, t["hi"][sl], t["lo"][sl])
+    return PhasePoints(t["values"][sl], bits, t["limbs"][sl])
 
 
 def as_phase_points(points, bits: int = DEFAULT_BITS) -> PhasePoints:
     """Coerce raw floats or FixedFrac values into a PhasePoints set."""
+    _check_bits(bits)
     if isinstance(points, PhasePoints):
         return points
     seq = list(points)
@@ -145,42 +169,23 @@ def as_phase_points(points, bits: int = DEFAULT_BITS) -> PhasePoints:
         b = seq[0].bits
         if any(ff.bits != b for ff in seq):
             raise ValueError("mixed fixed-point precisions in one point set")
-        if b > 2 * _LIMB:
-            raise ValueError(f"at most {2*_LIMB} fixed-point bits supported here")
-        scale = float(1 << b)
-        vals = np.array([ff.mantissa / scale for ff in seq], np.float64)
-        hi = np.array([ff.mantissa >> _LIMB for ff in seq], np.int64)
-        lo_ = np.array([ff.mantissa & _LOW_MASK for ff in seq], np.int64)
-        return PhasePoints(vals, b, hi, lo_)
-    vals = np.asarray(seq, np.float64)
-    return PhasePoints(vals, bits)
+        _check_bits(b)
+        limbs = _limbs([ff.mantissa << (_WIDTH - b) for ff in seq])
+        return PhasePoints(_limb_phases(limbs, 1), b, limbs)
+    return PhasePoints(np.asarray(seq, np.float64), bits)
 
 
 def _phase_fractions(pts: PhasePoints, m: int) -> np.ndarray:
     """(m * x_n) mod 1 as float64, exactly reduced when limbs are present."""
     if not pts.exact:
         return np.mod(m * pts.values, 1.0)
-    if abs(m) <= _FAST_M_CAP:
-        # (m*mant) mod 2^bits in two limbs; int64 two's complement makes the
-        # masked low parts and arithmetic carry shifts valid for m < 0 too
-        c = m * pts.lo
-        if pts.bits <= _LIMB:  # whole mantissa fits in the low limb
-            return (c & ((1 << pts.bits) - 1)) * (2.0 ** -pts.bits)
-        low = c & _LOW_MASK
-        d = m * pts.hi + (c >> _LIMB)
-        high = d & ((1 << (pts.bits - _LIMB)) - 1)
-        return high * (2.0 ** (_LIMB - pts.bits)) + low * (2.0 ** -pts.bits)
-    modulus = 1 << pts.bits
-    scale = float(modulus)
-    mants = (pts.hi.astype(object) << _LIMB) | pts.lo.astype(object)
-    return np.array([(m * int(v)) % modulus for v in mants], np.float64) / scale
+    return _limb_phases(pts.limbs, m)
 
 
 def _slice_points(pts: PhasePoints, start: int, stop: int) -> PhasePoints:
     s = slice(start, stop)
-    if not pts.exact:
-        return PhasePoints(pts.values[s], pts.bits)
-    return PhasePoints(pts.values[s], pts.bits, pts.hi[s], pts.lo[s])
+    limbs = pts.limbs[s] if pts.exact else None
+    return PhasePoints(pts.values[s], pts.bits, limbs)
 
 
 def _check_harmonic_count(name: str, count: int) -> None:
@@ -290,6 +295,7 @@ def exp_sum(lo: int, hi: int, m: int, bits: int = DEFAULT_BITS,
         raise ValueError("harmonic m must be nonzero")
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi")
+    _check_harmonic_count("|m|", abs(m))
     if abs(m) * 2.0 ** -bits >= 1e-12:
         needed = math.ceil(math.log2(abs(m) * 1e12))
         raise PrecisionError(
@@ -417,14 +423,11 @@ def doubled_distance_points(x: int, bits: int = DEFAULT_BITS) -> PhasePoints:
 
     Used to control histogram deviations through the discrepancy of the
     doubled distances.  The below/above-half split is exact (top limb
-    against 2^(bits-49)); float values that round up to 1.0 are pulled one
-    ulp down since the true values are strictly below 1.
+    against 2^31); float values that round up to 1.0 are pulled one ulp
+    down since the true values are strictly below 1.
     """
     pts = sqrt_frac_points(x, bits)
-    if bits > _LIMB:
-        below = pts.hi < (1 << (bits - _LIMB - 1))
-    else:
-        below = pts.lo < (1 << (bits - 1))
+    below = pts.limbs[:, 2] < (1 << 31)
     vals = np.where(below, 2.0 * pts.values, 2.0 * (1.0 - pts.values))
     vals[vals >= 1.0] = np.nextafter(1.0, 0.0)
     return PhasePoints(vals, bits)

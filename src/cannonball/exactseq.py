@@ -241,9 +241,8 @@ def ordered_map(fn, items, workers: int = 1) -> Iterator:
 def frac_sqrt(n: int, bits: int = DEFAULT_BITS) -> FixedFrac:
     """{sqrt(P_n)} in fixed point: mantissa = floor(2**bits * {sqrt(P_n)}).
 
-    isqrt(p << 2*bits) is floor(2**bits * sqrt(p)), so the result is the
-    floor of the true fractional part scaled by 2**bits and the error is
-    strictly below one ulp.
+    The mantissa is the floor of the true fractional part scaled by
+    2**bits (frac_mantissa), so the error is strictly below one ulp.
     """
     if n < 1:
         raise ValueError("index must be >= 1")
@@ -251,8 +250,16 @@ def frac_sqrt(n: int, bits: int = DEFAULT_BITS) -> FixedFrac:
         raise ValueError("need at least 32 bits of fixed-point precision")
     p = pyramidal(n)
     f = math.isqrt(p)
-    mant = math.isqrt(p << (2 * bits)) - (f << bits)
-    return FixedFrac(mant, bits, 1)
+    return FixedFrac(frac_mantissa(f, p - f * f, bits), bits, 1)
+
+
+def frac_mantissa(f: int, d: int, bits: int) -> int:
+    """floor(2**bits * {sqrt(p)}) for p = f^2 + d with f = isqrt(p), exactly.
+
+    isqrt(p << 2*bits) is floor(2**bits * sqrt(p)); subtracting the integer
+    part 2**bits * f leaves the floor of the scaled fractional part.
+    """
+    return math.isqrt((f * f + d) << (2 * bits)) - (f << bits)
 
 
 def in_exceptional(n: int) -> bool:
@@ -334,7 +341,6 @@ def near_half_count(x: int, bits: int = DEFAULT_BITS) -> tuple[int, int]:
     cutoff = (t_int + 4) / scale  # strictly above the window + flag zone
     count = 0
     borderline = 0
-    two_bits = 2 * bits
     for _, f, d in fd_blocks(1, x):
         g = 4 * d - 4 * f - 1  # 4p - (2f+1)^2, odd so never 0
         sqrt_p = np.sqrt(f.astype(np.float64) ** 2 + d.astype(np.float64))
@@ -342,9 +348,7 @@ def near_half_count(x: int, bits: int = DEFAULT_BITS) -> tuple[int, int]:
         # perfect squares (d = 0) are excluded from the window; a margin
         # above cutoff certainly exceeds T + 2 ulps
         for i in np.flatnonzero((d != 0) & (np.abs(g) <= cutoff * den_up)).tolist():
-            fi = int(f[i])
-            mant = math.isqrt((fi * fi + int(d[i])) << two_bits) - (fi << bits)
-            m = abs(mant - half)
+            m = abs(frac_mantissa(int(f[i]), int(d[i]), bits) - half)
             if abs(m - t_int) <= 2:
                 borderline += 1
             elif m < t_int:

@@ -91,6 +91,19 @@ def test_cli_rejects_harmonic_count_above_cap(argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["discrepancy", "--x", "1000", "--bits", "0"],
+    ["discrepancy", "--x", "1000", "--K", "5", "--bits", "97"],
+    ["weyl", "--x", "1000", "--bits", "-1"],
+])
+def test_cli_rejects_bits_out_of_range(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: bits must be in [32, 96]")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("module, name, argv", [
     (moments, "sandwich", ["sandwich", "--x", "100", "--L", "10"]),
     (equidist, "erdos_turan", ["discrepancy", "--x", "100", "--K", "5"]),

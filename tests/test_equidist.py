@@ -33,7 +33,7 @@ class TestExpSum:
             assert abs(complex(s.re, s.im) - ref) < 1e-9
 
     def test_large_m_slow_path(self):
-        m = 10**6  # beyond the int64 limb cap, exercises the big-int path
+        m = 10**6  # near MAX_HARMONIC: the limb carry chain at its widest
         s = eq.exp_sum(2, 120, m)
         ref = brute_exp_sum(2, 120, m)
         assert abs(complex(s.re, s.im) - ref) < 1e-9

@@ -130,6 +130,15 @@ class TestCallers:
             eq.erdos_turan([0.25, 0.5], eq.MAX_HARMONIC + 1)
         with pytest.raises(ValueError, match="cap"):
             eq.weyl_profile(10, eq.MAX_HARMONIC + 1)
+        for m in (eq.MAX_HARMONIC + 1, -eq.MAX_HARMONIC - 1):
+            with pytest.raises(ValueError, match="cap"):
+                eq.exp_sum(1, 10, m)
+
+    def test_exp_sum_at_the_cap(self):
+        for m in (eq.MAX_HARMONIC, -eq.MAX_HARMONIC):
+            s = eq.exp_sum(2, 60, m)
+            err = s.modulus_err + reference_error(59, m, 2.0 ** -96, 59)
+            assert abs(complex(s.re, s.im) - brute_exp_sum(2, 60, m)) <= err
 
 
 def test_memory_bounded_by_block():
