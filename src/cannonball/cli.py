@@ -248,7 +248,7 @@ def _cmd_sandwich(cfg: RunConfig):
 
 def _cmd_discrepancy(cfg: RunConfig):
     pts = equidist.sqrt_frac_points(cfg.x, cfg.bits)
-    if cfg.K:
+    if cfg.K is not None:
         r = equidist.erdos_turan(pts, cfg.K, cfg.bits)
     else:
         r = equidist.star_discrepancy(pts)
@@ -319,7 +319,7 @@ def _cmd_optimize(cfg: RunConfig):
     if cfg.preset:
         if cfg.preset != "moment-residual":
             raise ValueError(f"unknown preset {cfg.preset!r}")
-        r = minimax.balance_moment_residual(cfg.k or 1)
+        r = minimax.balance_moment_residual(cfg.k)
         doc = {
             "preset": cfg.preset,
             "k": r.k,
@@ -424,9 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"worker processes (default ${ENV_WORKERS} or 1)")
     common.add_argument("--chunk", type=int, default=1 << 16,
                         help="index-range granularity for work splitting")
-    common.add_argument("--bits", type=int, default=exactseq.DEFAULT_BITS,
-                        help="fixed-point precision of fractional parts "
-                             "(32 to 96 for discrepancy, weyl and knbound)")
+    # a parent of only the commands that read fractional parts, so no other
+    # command accepts --bits and ignores it
+    bits = argparse.ArgumentParser(add_help=False)
+    bits.add_argument("--bits", type=int, default=exactseq.DEFAULT_BITS,
+                      help="fixed-point precision of fractional parts "
+                           "(32 to 96; nearhalf takes any value from 32)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -448,16 +451,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--L", type=int, required=True, help="even bin count")
 
-    p = sub.add_parser("discrepancy", parents=[common],
+    p = sub.add_parser("discrepancy", parents=[common, bits],
                        help="star discrepancy of the fractional parts")
     p.add_argument("--x", type=int, required=True, help="number of points N")
     p.add_argument("--K", type=int, help="also compute the truncated sum bound")
 
-    p = sub.add_parser("weyl", parents=[common], help="normalized Weyl sums")
+    p = sub.add_parser("weyl", parents=[common, bits], help="normalized Weyl sums")
     p.add_argument("--x", type=int, required=True, help="number of points N")
     p.add_argument("--m-max", type=int, default=5)
 
-    p = sub.add_parser("knbound", parents=[common],
+    p = sub.add_parser("knbound", parents=[common, bits],
                        help="second-derivative bounds against computed sums")
     p.add_argument("--x", type=int, required=True, help="range end N")
     p.add_argument("--m-max", type=int, default=5)
@@ -466,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scan for nearest-square/nearest-integer disagreement")
     p.add_argument("--x", type=int, required=True)
 
-    p = sub.add_parser("nearhalf", parents=[common],
+    p = sub.add_parser("nearhalf", parents=[common, bits],
                        help="count fractional parts within x^(-3/4) of 1/2")
     p.add_argument("--x", type=int, required=True)
 
@@ -518,7 +521,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         K=getattr(args, "K", None),
         bins=getattr(args, "bins", None),
         m_max=getattr(args, "m_max", None),
-        bits=args.bits,
+        bits=getattr(args, "bits", exactseq.DEFAULT_BITS),
         xs=xs,
         expr=getattr(args, "expr", None),
         var=getattr(args, "var", None),

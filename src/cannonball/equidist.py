@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactseq import DEFAULT_BITS, FixedFrac, fd_blocks, frac_mantissa
+from .exactseq import DEFAULT_BITS, FixedFrac, distance_bins, fd_blocks, frac_mantissa
 
 _WIDTH = 96                 # exact points hold mantissa << (_WIDTH - bits)
 _MASK32 = (1 << 32) - 1
@@ -392,30 +392,22 @@ def weyl_profile(N: int, m_max: int, bits: int = DEFAULT_BITS) -> list[tuple[int
 def half_distance_histogram(x: int, bins: int) -> HistogramResult:
     """Histogram of |sqrt(P_n) - y_n| over [0, 1/2] in equal-width bins.
 
-    Bins are left-open right-closed; membership comes from comparing
-    (2*bins)^2 * P_n against exact squares, so no value is ever rounded
-    across an edge.  Exact boundary hits (only the zero distances of the
-    perfect squares, by a parity argument) are flagged and kept in bin 1.
+    Bins are left-open right-closed; membership comes from
+    exactseq.distance_bins with L = 2*bins, whose certified bound and exact
+    isqrt fallback never round a value across an edge.  Exact boundary hits
+    (only the zero distances of the perfect squares, since the distance is
+    irrational otherwise) are flagged and kept in bin 1.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
     if bins < 2:
         raise ValueError("need at least 2 bins")
-    L = 2 * bins
-    ll = L * L
-    counts = [0] * (bins + 1)
+    counts = np.zeros(bins + 1, np.int64)
     flagged = 0
-    isq = math.isqrt
-    for _, fs, ds in fd_blocks(1, x):
-        for f, d in zip(fs.tolist(), ds.tolist()):
-            if d == 0:
-                counts[1] += 1
-                flagged += 1
-                continue
-            r = isq(ll * (f * f + d))
-            j = r - L * f + 1 if d <= f else L * (f + 1) - r
-            counts[j] += 1
-    return HistogramResult(x, bins, tuple(counts[1:]), flagged)
+    for _, f, d in fd_blocks(1, x):
+        counts += np.bincount(distance_bins(f, d, 2 * bins), minlength=bins + 1)
+        flagged += int(np.count_nonzero(d == 0))
+    return HistogramResult(x, bins, tuple(counts[1:].tolist()), flagged)
 
 
 def doubled_distance_points(x: int, bits: int = DEFAULT_BITS) -> PhasePoints:

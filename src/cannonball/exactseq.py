@@ -1,10 +1,11 @@
 """Exact integer core for square pyramidal numbers and their nearest squares.
 
 Everything in this module is decided by integer comparisons: no floating
-point result ever determines a classification.  The only floats appear in
-certified prefilters whose error bounds are argued inline, and as the
-starting root estimate of the vector (f, d) kernel, block_fd, whose every
-result is then proved by an integer check.
+point result ever determines a classification.  The only floats are the
+distance estimate _distances, whose one certified error bound sets the
+tolerance of every prefilter built on it (distance_bins, near_half_count),
+and the starting root estimate of the vector (f, d) kernel, block_fd, whose
+every result is then proved by an integer check.
 
 Conventions used throughout:
 
@@ -19,6 +20,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -227,12 +229,15 @@ def fd_blocks(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
 
 
 def ordered_map(fn, items, workers: int = 1) -> Iterator:
-    """fn(item) for each item, in item order; a pool of up to `workers` processes runs them."""
+    """fn(item) for each item, in item order; a pool of up to `workers` processes runs them.
+
+    The pool is capped at the item count and the CPU count; results do not depend on its size.
+    """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     items = list(items)
     if workers > 1 and len(items) > 1:
-        with get_context().Pool(min(workers, len(items))) as pool:
+        with get_context().Pool(min(workers, len(items), os.cpu_count() or 1)) as pool:
             yield from pool.imap(fn, items)
     else:
         yield from map(fn, items)
@@ -260,6 +265,66 @@ def frac_mantissa(f: int, d: int, bits: int) -> int:
     part 2**bits * f leaves the floor of the scaled fractional part.
     """
     return math.isqrt((f * f + d) << (2 * bits)) - (f << bits)
+
+
+def _distances(f: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """delta = |sqrt(p) - y| for p = f^2 + d, as float64 within 6.01u * delta.
+
+    With y the nearest root (f, or f + 1 when d > f) and a = |p - y^2| the
+    exact integer distance, delta = a / (y + sqrt(p)), so no cancellation is
+    left to the float arithmetic.  With u = 2^-53, every step rounds once,
+    by a factor 1 + t with |t| <= u:
+
+    * a, y, f and d become float64 once each; that is exact below 2^53, so
+      in every kernel block (f < 2^50 below FD_CAP), and one rounding on the
+      Python ints of object blocks past FD_CAP;
+    * q = fl(f)^2 + fl(d) adds two roundings to a sum of nonnegative terms,
+      so q/p lies in [(1-u)^4, (1+u)^4];
+    * sqrt(q) halves that, and rounds once: sqrt(p) [(1-u)^3, (1+u)^3];
+    * fl(y) + sqrt(q), again a sum of nonnegative terms and one rounding:
+      (y + sqrt(p)) [(1-u)^4, (1+u)^4];
+    * fl(a) / that, one rounding: delta [(1-u)^2 / (1+u)^4, (1+u)^2 / (1-u)^4].
+
+    So the result is within 6.01u * delta of delta, and within 3.01u since
+    delta < 1/2.  distance_bins and near_half_count take their tolerances
+    from this bound.
+    """
+    below = d <= f
+    y = np.where(below, f, f + 1).astype(np.float64)
+    a = np.where(below, d, 2 * f + 1 - d).astype(np.float64)
+    ff = f.astype(np.float64)
+    return a / (y + np.sqrt(ff * ff + d.astype(np.float64)))
+
+
+def _exact_bin(f: int, d: int, L: int) -> int:
+    """floor(L * delta) + 1 by one big-int isqrt: the exact fallback of distance_bins.
+
+    r = isqrt(L^2 p) = floor(L sqrt(p)); below the half delta = sqrt(p) - f,
+    above it delta = f + 1 - sqrt(p), and L * delta is never an integer
+    unless p is a square, where r = Lf and the bin is 1.
+    """
+    r = math.isqrt(L * L * (f * f + d))
+    return r - L * f + 1 if d <= f else L * (f + 1) - r
+
+
+def distance_bins(f: np.ndarray, d: np.ndarray, L: int) -> np.ndarray:
+    """Bin j = floor(L * delta) + 1 of delta = |sqrt(p) - y| for each p = f^2 + d.
+
+    Bin j holds (j-1)/L < delta <= j/L, with the zero distances of perfect
+    squares in bin 1.  t = fl(L * _distances(f, d)) adds one rounding to
+    the _distances bound, so |t - L delta| <= 7.02u * L * delta < 3.6u * L
+    <= tol = 2^-51 * L (u = 2^-53, L < 2^53).  Where t lies more than tol
+    from every integer, no integer lies between t and L delta, and floor(t)
+    is exact; t - rint(t) is itself exact for t < 2^52, and every larger t
+    is an integer.  L * delta is irrational for non-square p, so only the
+    indices within tol of an edge, and the squares (t = 0), take the exact
+    _exact_bin.  Returns int64 bins.
+    """
+    t = L * _distances(f, d)
+    j = np.floor(t).astype(np.int64) + 1
+    for i in np.flatnonzero(np.abs(t - np.rint(t)) <= L * 2.0 ** -51).tolist():
+        j[i] = _exact_bin(int(f[i]), int(d[i]), L)
+    return j
 
 
 def in_exceptional(n: int) -> bool:
@@ -324,11 +389,16 @@ def near_half_count(x: int, bits: int = DEFAULT_BITS) -> tuple[int, int]:
     excluded by convention.
 
     A certified float prefilter skips indices whose margin provably clears
-    the window: the margin equals |4p - (2f+1)^2| / (4(sqrt(p)+f+1/2)) with
-    an exact integer numerator 4d - 4f - 1, so a small safety factor on the
-    float denominator gives a one-sided bound.  The prefilter runs as vector
-    compares on each (f, d) sub-block; only the survivors take the exact
-    fixed-point path.
+    the window.  The margin |{sqrt(p)} - 1/2| is 1/2 - delta, and a
+    mantissa margin within T + 2 means a true margin below c - 2^-bits,
+    c = (T + 4) / 2^bits.  The computed 0.5 - _distances(f, d) exceeds the
+    true margin by at most 3.01u (u = 2^-53) plus u/4 for rounding the
+    subtraction (exact, by Sterbenz, once delta >= 1/4), while
+    fl(fl(c) + 2^-50) >= c + 6.9u when c < 1/2, and is at least 1/2, above
+    every margin, otherwise.  So keeping the indices whose computed margin
+    is at most that sum keeps every index the window or the flag zone can
+    hold.  The prefilter runs as vector compares on each (f, d) sub-block;
+    only the survivors take the exact fixed-point path.
     """
     if x < 1:
         raise ValueError("scan bound must be >= 1")
@@ -338,16 +408,12 @@ def near_half_count(x: int, bits: int = DEFAULT_BITS) -> tuple[int, int]:
     # T = floor(2^bits / x^(3/4)) = floor((2^(4 bits) / x^3)^(1/4))
     t_int = math.isqrt(math.isqrt((1 << (4 * bits)) // (x * x * x)))
     half = scale >> 1
-    cutoff = (t_int + 4) / scale  # strictly above the window + flag zone
+    cutoff = (t_int + 4) / scale + 2.0 ** -50
     count = 0
     borderline = 0
     for _, f, d in fd_blocks(1, x):
-        g = 4 * d - 4 * f - 1  # 4p - (2f+1)^2, odd so never 0
-        sqrt_p = np.sqrt(f.astype(np.float64) ** 2 + d.astype(np.float64))
-        den_up = 8.0 * sqrt_p * (1.0 + 1e-12) + 4.0
-        # perfect squares (d = 0) are excluded from the window; a margin
-        # above cutoff certainly exceeds T + 2 ulps
-        for i in np.flatnonzero((d != 0) & (np.abs(g) <= cutoff * den_up)).tolist():
+        # perfect squares (d = 0) are excluded from the window
+        for i in np.flatnonzero((d != 0) & (0.5 - _distances(f, d) <= cutoff)).tolist():
             m = abs(frac_mantissa(int(f[i]), int(d[i]), bits) - half)
             if abs(m - t_int) <= 2:
                 borderline += 1

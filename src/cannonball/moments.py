@@ -20,7 +20,7 @@ from itertools import repeat
 import mpmath as mp
 import numpy as np
 
-from .exactseq import RangeSpec, fd_blocks, ordered_map
+from .exactseq import RangeSpec, distance_bins, fd_blocks, frac_mantissa, ordered_map
 
 K_MAX = 12          # accumulator cap; configurable but bounded on purpose
 WORK_PREC = 256     # binary precision for main terms and residuals
@@ -179,11 +179,11 @@ def average(x: int, workers: int = 1, chunk: int = 1 << 16) -> AverageSummary:
 def sandwich(x: int, k: int, L: int, bits: int = SANDWICH_BITS) -> SandwichResult:
     """Rigorous binned bracketing of M_k(x) with L distance bins on [0, 1/2].
 
-    Bin j collects (j-1)/L < |sqrt(P_n) - y_n| <= j/L; membership is decided
-    by comparing L^2 * P_n against squares, never by rounding.  The weight
-    sums use floor mantissas for the lower bound and ceiling mantissas for
-    the upper bound, so both bounds are exact rationals bracketing the exact
-    integer moment.  Zero-distance terms (perfect squares) contribute zero
+    Bin j collects (j-1)/L < |sqrt(P_n) - y_n| <= j/L; membership comes from
+    exactseq.distance_bins, exact by its certified bound and its isqrt
+    fallback, never by rounding.  The weight sums use floor mantissas for
+    the lower bound and ceiling mantissas for the upper bound, so both
+    bounds are exact rationals bracketing the exact integer moment.  Zero-distance terms (perfect squares) contribute zero
     to the moment and are omitted from both bounds.
     """
     if x < 1:
@@ -194,27 +194,16 @@ def sandwich(x: int, k: int, L: int, bits: int = SANDWICH_BITS) -> SandwichResul
     nbins = L // 2
     w_lo = [0] * (nbins + 1)   # 1-indexed bins
     w_hi = [0] * (nbins + 1)
-    exact = 0
-    ll = L * L
-    isq = math.isqrt
     for _, fs, ds in fd_blocks(1, x):
-        for f, d in zip(fs.tolist(), ds.tolist()):
+        js = distance_bins(fs, ds, L)
+        for f, d, j in zip(fs.tolist(), ds.tolist(), js.tolist()):
             if d == 0:
                 continue
-            p = f * f + d
-            r = isq(ll * p)  # floor(L sqrt(p)); never exact here since p is not square
-            if d <= f:
-                y = f
-                j = r - L * f + 1
-            else:
-                y = f + 1
-                j = L * y - r
-            s_lo = isq(p << (2 * bits))
-            t_lo = s_lo + (y << bits)
+            y = f if d <= f else f + 1
+            t_lo = frac_mantissa(f, d, bits) + ((f + y) << bits)  # floor(2^bits (sqrt(p) + y))
             w_lo[j] += t_lo ** k
             w_hi[j] += (t_lo + 1) ** k
-            a = d if d <= f else 2 * f + 1 - d
-            exact += a ** k
+    exact = power_sums(x, (k,))[0]
     lower_num = sum((j - 1) ** k * w_lo[j] for j in range(1, nbins + 1))
     upper_num = sum(j ** k * w_hi[j] for j in range(1, nbins + 1))
     den = L ** k << (k * bits)

@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from cannonball import cli, equidist, moments
+from cannonball import cli, equidist, exactseq, moments
 
 GUARD_SECONDS = 60
 GUARD_BYTES = 2 << 30
@@ -102,6 +102,59 @@ def test_cli_rejects_bits_out_of_range(capsys, argv):
     assert captured.err.startswith("error: bits must be in [32, 96]")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--x", "1000", "--bits", "48"],
+    ["histogram", "--x", "1000", "--bits", "7"],
+])
+def test_cli_rejects_bits_where_unused(argv):
+    proc = run_guarded(["-m", "cannonball.cli", *argv])
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --bits" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["discrepancy", "--x", "1000", "--K", "0"], "truncation K must be >= 1"),
+    (["optimize", "--preset", "moment-residual", "--k", "0"], "k must be >= 1"),
+])
+def test_cli_rejects_zero_counts(capsys, argv, message):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_pool_capped_at_cpu_count(monkeypatch, tmp_path):
+    # a fake pool records its size: --workers 5000 must never ask for 5000 processes
+    sizes = []
+
+    class FakePool:
+        def __init__(self, n):
+            sizes.append(n)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items):
+            return map(fn, items)
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(exactseq, "get_context", FakeContext)
+    argv = ["terms", "--range", "1:1000", "--chunk", "10"]
+    assert cli.main(argv + ["--output", str(tmp_path / "serial.csv")]) == 0
+    for cpus, want in ((3, 3), (None, 1)):
+        monkeypatch.setattr(exactseq.os, "cpu_count", lambda: cpus)
+        out = tmp_path / f"pool{want}.csv"
+        assert cli.main(argv + ["--workers", "5000", "--output", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert sizes == [3, 1]
 
 
 @pytest.mark.parametrize("module, name, argv", [

@@ -188,30 +188,28 @@ class TestHistogram:
         assert sum(h.counts) == 24
 
     def test_counts_match_exact_distances(self):
-        # classify with exact rational comparisons through Fraction values
-        from fractions import Fraction
-
-        x, bins = 500, 8
-        h = eq.half_distance_histogram(x, bins)
-        expected = [0] * bins
-        for n in range(1, x + 1):
-            t = xs.term(n)
-            if t.a == 0:
-                expected[0] += 1
-                continue
-            # smallest j with |sqrt(p) - y| <= j/(2 bins), via integer squares
-            L = 2 * bins
-            j = 1
-            while True:
-                if t.side is xs.Side.BELOW_HALF:
-                    inside = t.p * L * L <= (t.f * L + j) ** 2
-                else:
-                    inside = (L * (t.f + 1) - j) ** 2 <= t.p * L * L
-                if inside:
-                    break
-                j += 1
-            expected[j - 1] += 1
-        assert list(h.counts) == expected
+        # classify with exact integer comparisons, across the sub-block edges
+        for x, bins in ((500, 8), (4095, 20), (4096, 7), (4097, 50)):
+            h = eq.half_distance_histogram(x, bins)
+            expected = [0] * bins
+            for n in range(1, x + 1):
+                t = xs.term(n)
+                if t.a == 0:
+                    expected[0] += 1
+                    continue
+                # smallest j with |sqrt(p) - y| <= j/(2 bins), via integer squares
+                L = 2 * bins
+                j = 1
+                while True:
+                    if t.side is xs.Side.BELOW_HALF:
+                        inside = t.p * L * L <= (t.f * L + j) ** 2
+                    else:
+                        inside = (L * (t.f + 1) - j) ** 2 <= t.p * L * L
+                    if inside:
+                        break
+                    j += 1
+                expected[j - 1] += 1
+            assert list(h.counts) == expected
 
     def test_deviation_bounded_by_doubled_discrepancy(self):
         x, bins = 10**4, 20
