@@ -1,13 +1,15 @@
 """Command-line front end: output formats, checkpointing, parallel orchestration.
 
-Results are deterministic for a fixed configuration: chunks are merged in
-index order no matter how many workers computed them, integers are emitted
-as exact decimal strings, and reals are formatted at a declared precision.
-Long scans checkpoint at chunk boundaries; resuming a killed run produces
-byte-identical output to an uninterrupted one.  A checkpoint refuses to
-resume under a configuration whose semantic fingerprint differs (worker
-count, chunk size and checkpoint cadence are deliberately not part of the
-fingerprint).
+Results are deterministic for a fixed configuration: the commands that
+scan indices (terms, moments, average, fit, sandwich, histogram, nearhalf,
+exceptional) take --workers and --chunk, and merge chunks in index order
+no matter how many workers computed them (all but terms through
+exactseq.scan); integers are emitted as exact decimal strings, and reals
+are formatted at a declared precision.  A moments scan checkpoints at chunk
+boundaries; resuming a killed run produces byte-identical output to an
+uninterrupted one.  A checkpoint refuses to resume under a configuration
+whose semantic fingerprint differs (worker count, chunk size and checkpoint
+cadence are deliberately not part of the fingerprint).
 
 Exit status: 0 on success, 2 for bad input, 3 for a checkpoint written by
 another configuration, 4 when a result fails its own self-check (the
@@ -24,7 +26,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import mpmath as mp
@@ -35,6 +37,8 @@ SCHEMA_VERSION = 1
 REAL_DIGITS = 30  # significant decimal digits of every serialized real
 ENV_WORKERS = "CANNONBALL_WORKERS"
 ENV_CHECKPOINT_DIR = "CANNONBALL_CHECKPOINT_DIR"
+# RunConfig fields that do not change results, so no fingerprint holds them
+_NOT_SEMANTIC = {"workers", "chunk", "output", "checkpoint_path", "checkpoint_every"}
 
 
 class CheckpointMismatch(RuntimeError):
@@ -81,16 +85,8 @@ class RunConfig:
         not change results, so they are excluded: a run may be resumed with
         different parallelism.
         """
-        sem = {
-            "schema": SCHEMA_VERSION,
-            "command": self.command,
-            "x": self.x, "lo": self.lo, "hi": self.hi,
-            "k": self.k, "L": self.L, "K": self.K,
-            "bins": self.bins, "m_max": self.m_max, "bits": self.bits,
-            "xs": list(self.xs) if self.xs else None,
-            "expr": self.expr, "var": self.var, "preset": self.preset,
-            "out_format": self.out_format,
-        }
+        sem = {k: v for k, v in asdict(self).items() if k not in _NOT_SEMANTIC}
+        sem.update(schema=SCHEMA_VERSION, xs=list(self.xs) if self.xs else None)
         blob = json.dumps(sem, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -198,24 +194,18 @@ def _cmd_moments(cfg: RunConfig):
                 "checkpoint was written by a different configuration; refusing to resume")
         start_n = int(doc["last_n"]) + 1
         init = [int(v) for _, v in doc["accumulators"]]
-    if init is not None and start_n > cfg.x:
-        exact = init[0]
-    else:
-        progress = None
-        if ckpt:
-            state = {"written": start_n - 1}
+    progress = None
+    if ckpt:
+        state = {"written": start_n - 1}
 
-            def progress(last_n, sums):
-                if last_n - state["written"] >= cfg.checkpoint_every and last_n < cfg.x:
-                    _write_checkpoint(ckpt, fingerprint, last_n,
-                                      [(f"m{cfg.k}", sums[0])])
-                    state["written"] = last_n
+        def progress(last_n, sums):
+            if last_n - state["written"] >= cfg.checkpoint_every and last_n < cfg.x:
+                _write_checkpoint(ckpt, fingerprint, last_n, [(f"m{cfg.k}", sums[0])])
+                state["written"] = last_n
 
-        table = moments.power_sums_at([cfg.x], (cfg.k,), workers=cfg.workers,
-                                      chunk=cfg.chunk, start_n=start_n,
-                                      init=init, progress=progress)
-        exact = table[cfg.x][0]
-    summary = moments.summary_from_exact(cfg.x, cfg.k, exact)
+    table = moments.power_sums_at([cfg.x], (cfg.k,), workers=cfg.workers, chunk=cfg.chunk,
+                                  start_n=start_n, init=init, progress=progress)
+    summary = moments.summary_from_exact(cfg.x, cfg.k, table[cfg.x][0])
     return [_moment_row(summary)], None
 
 
@@ -234,7 +224,7 @@ def _cmd_average(cfg: RunConfig):
 
 
 def _cmd_sandwich(cfg: RunConfig):
-    r = moments.sandwich(cfg.x, cfg.k, cfg.L)
+    r = moments.sandwich(cfg.x, cfg.k, cfg.L, workers=cfg.workers, chunk=cfg.chunk)
     row = {
         "x": r.x, "k": r.k, "L": r.L,
         "lower": _fraction_str(r.lower),
@@ -286,7 +276,7 @@ def _cmd_knbound(cfg: RunConfig):
 
 
 def _cmd_exceptional(cfg: RunConfig):
-    members = exactseq.exceptional_indices(cfg.x)
+    members = exactseq.exceptional_indices(cfg.x, workers=cfg.workers, chunk=cfg.chunk)
     row = {
         "x": cfg.x,
         "count": len(members),
@@ -297,13 +287,14 @@ def _cmd_exceptional(cfg: RunConfig):
 
 
 def _cmd_nearhalf(cfg: RunConfig):
-    count, borderline = exactseq.near_half_count(cfg.x, cfg.bits)
+    count, borderline = exactseq.near_half_count(cfg.x, cfg.bits, workers=cfg.workers,
+                                                 chunk=cfg.chunk)
     return [{"x": cfg.x, "count": count, "borderline": borderline,
              "bits": cfg.bits}], None
 
 
 def _cmd_histogram(cfg: RunConfig):
-    h = equidist.half_distance_histogram(cfg.x, cfg.bins)
+    h = equidist.half_distance_histogram(cfg.x, cfg.bins, workers=cfg.workers, chunk=cfg.chunk)
     rows = [{"x": h.x, "bins": h.bins, "bin": j + 1, "count": c,
              "flagged_total": h.flagged}
             for j, c in enumerate(h.counts)]
@@ -420,33 +411,33 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", choices=["csv", "json"], default="csv",
                         dest="out_format", help="output format (default csv)")
     common.add_argument("--output", help="write to this path instead of stdout")
-    common.add_argument("--workers", type=int, default=None,
-                        help=f"worker processes (default ${ENV_WORKERS} or 1)")
-    common.add_argument("--chunk", type=int, default=1 << 16,
-                        help="index-range granularity for work splitting")
-    # a parent of only the commands that read fractional parts, so no other
-    # command accepts --bits and ignores it
+    # parents of only the commands that read them, so no other command
+    # accepts --workers, --chunk or --bits and ignores it
+    scan = argparse.ArgumentParser(add_help=False)
+    scan.add_argument("--workers", type=int, default=None,
+                      help=f"worker processes (default ${ENV_WORKERS} or 1)")
+    scan.add_argument("--chunk", type=int, default=1 << 16,
+                      help="index-range granularity for work splitting")
     bits = argparse.ArgumentParser(add_help=False)
     bits.add_argument("--bits", type=int, default=exactseq.DEFAULT_BITS,
-                      help="fixed-point precision of fractional parts "
-                           "(32 to 96; nearhalf takes any value from 32)")
+                      help="fixed-point precision of fractional parts (32 to 96)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("terms", parents=[common], help="resolved sequence elements")
+    p = sub.add_parser("terms", parents=[common, scan], help="resolved sequence elements")
     p.add_argument("--range", type=_parse_range, required=True, metavar="LO:HI")
 
-    p = sub.add_parser("moments", parents=[common], help="exact k-th moment")
+    p = sub.add_parser("moments", parents=[common, scan], help="exact k-th moment")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--checkpoint", help="checkpoint file for kill-resume")
     p.add_argument("--checkpoint-every", type=int, default=1 << 20,
                    help="indices between checkpoints")
 
-    p = sub.add_parser("average", parents=[common], help="exact average A(x)")
+    p = sub.add_parser("average", parents=[common, scan], help="exact average A(x)")
     p.add_argument("--x", type=int, required=True)
 
-    p = sub.add_parser("sandwich", parents=[common], help="rigorous moment bracketing")
+    p = sub.add_parser("sandwich", parents=[common, scan], help="rigorous moment bracketing")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--L", type=int, required=True, help="even bin count")
@@ -465,15 +456,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, required=True, help="range end N")
     p.add_argument("--m-max", type=int, default=5)
 
-    p = sub.add_parser("exceptional", parents=[common],
+    p = sub.add_parser("exceptional", parents=[common, scan],
                        help="scan for nearest-square/nearest-integer disagreement")
     p.add_argument("--x", type=int, required=True)
 
-    p = sub.add_parser("nearhalf", parents=[common, bits],
+    p = sub.add_parser("nearhalf", parents=[common, scan, bits],
                        help="count fractional parts within x^(-3/4) of 1/2")
     p.add_argument("--x", type=int, required=True)
 
-    p = sub.add_parser("histogram", parents=[common],
+    p = sub.add_parser("histogram", parents=[common, scan],
                        help="distance histogram over [0, 1/2]")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--bins", type=int, default=20)
@@ -486,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="built-in balancing chain")
     p.add_argument("--k", type=int, default=1)
 
-    p = sub.add_parser("fit", parents=[common],
+    p = sub.add_parser("fit", parents=[common, scan],
                        help="log-log slope of moment residuals")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--xs", required=True,
@@ -495,44 +486,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    workers = args.workers
-    if workers is None:
+    """The RunConfig of parsed arguments: every option fills the field of its own name.
+
+    --workers falls back to $CANNONBALL_WORKERS, --range fills lo and hi,
+    --xs is split into a tuple and --checkpoint fills checkpoint_path.
+    """
+    given = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__}
+    if given.get("workers", 1) is None:
         text = os.environ.get(ENV_WORKERS, "1")
-        workers = int(text) if text.strip().isdecimal() else 0
-        if workers < 1:
+        given["workers"] = int(text) if text.strip().isdecimal() else 0
+        if given["workers"] < 1:
             raise ValueError(f"${ENV_WORKERS} must be an integer >= 1, got {text!r}")
-    lo = hi = None
     if getattr(args, "range", None):
-        lo, hi = args.range
-    xs = None
+        given["lo"], given["hi"] = args.range
     if getattr(args, "xs", None):
-        xs = tuple(int(s) for s in args.xs.split(","))
+        given["xs"] = tuple(int(s) for s in args.xs.split(","))
     checkpoint = getattr(args, "checkpoint", None)
     if checkpoint and not os.path.isabs(checkpoint):
         ckdir = os.environ.get(ENV_CHECKPOINT_DIR)
         if ckdir:
             checkpoint = os.path.join(ckdir, checkpoint)
-    return RunConfig(
-        command=args.command,
-        x=getattr(args, "x", None),
-        lo=lo, hi=hi,
-        k=getattr(args, "k", None),
-        L=getattr(args, "L", None),
-        K=getattr(args, "K", None),
-        bins=getattr(args, "bins", None),
-        m_max=getattr(args, "m_max", None),
-        bits=getattr(args, "bits", exactseq.DEFAULT_BITS),
-        xs=xs,
-        expr=getattr(args, "expr", None),
-        var=getattr(args, "var", None),
-        preset=getattr(args, "preset", None),
-        workers=workers,
-        chunk=args.chunk,
-        out_format=args.out_format,
-        output=args.output,
-        checkpoint_path=checkpoint,
-        checkpoint_every=getattr(args, "checkpoint_every", 1 << 20),
-    )
+    return RunConfig(**given, checkpoint_path=checkpoint)
 
 
 def main(argv=None) -> int:

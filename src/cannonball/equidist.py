@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactseq import DEFAULT_BITS, FixedFrac, distance_bins, fd_blocks, frac_mantissa
+from .exactseq import (DEFAULT_BITS, MAX_BINS, FixedFrac, RangeSpec, check_bits, distance_bins,
+                       fd_blocks, frac_mantissa, scan)
 
 _WIDTH = 96                 # exact points hold mantissa << (_WIDTH - bits)
 _MASK32 = (1 << 32) - 1
@@ -101,11 +103,6 @@ class PhasePoints:
 _tables: dict[int, dict] = {}
 
 
-def _check_bits(bits: int) -> None:
-    if not 32 <= bits <= _WIDTH:
-        raise ValueError(f"bits must be in [32, {_WIDTH}], got {bits}")
-
-
 def _limbs(words: list[int]) -> np.ndarray:
     """(len(words), 3) int64 array of 32-bit limbs, least significant first."""
     buf = b"".join([w.to_bytes(12, "little") for w in words])
@@ -151,7 +148,7 @@ def _ensure_table(n: int, bits: int) -> dict:
 
 def sqrt_frac_points(n: int, bits: int = DEFAULT_BITS, lo: int = 1) -> PhasePoints:
     """{sqrt(P_i)} for lo <= i <= n, with exact mantissa limbs attached."""
-    _check_bits(bits)
+    check_bits(bits)
     if lo < 1 or n < lo:
         raise ValueError("need 1 <= lo <= n")
     t = _ensure_table(n, bits)
@@ -161,7 +158,7 @@ def sqrt_frac_points(n: int, bits: int = DEFAULT_BITS, lo: int = 1) -> PhasePoin
 
 def as_phase_points(points, bits: int = DEFAULT_BITS) -> PhasePoints:
     """Coerce raw floats or FixedFrac values into a PhasePoints set."""
-    _check_bits(bits)
+    check_bits(bits)
     if isinstance(points, PhasePoints):
         return points
     seq = list(points)
@@ -169,7 +166,7 @@ def as_phase_points(points, bits: int = DEFAULT_BITS) -> PhasePoints:
         b = seq[0].bits
         if any(ff.bits != b for ff in seq):
             raise ValueError("mixed fixed-point precisions in one point set")
-        _check_bits(b)
+        check_bits(b)
         limbs = _limbs([ff.mantissa << (_WIDTH - b) for ff in seq])
         return PhasePoints(_limb_phases(limbs, 1), b, limbs)
     return PhasePoints(np.asarray(seq, np.float64), bits)
@@ -389,7 +386,8 @@ def weyl_profile(N: int, m_max: int, bits: int = DEFAULT_BITS) -> list[tuple[int
     return [(m, abs(s) / N) for m, s in zip(range(1, m_max + 1), sums.tolist())]
 
 
-def half_distance_histogram(x: int, bins: int) -> HistogramResult:
+def half_distance_histogram(x: int, bins: int, *, workers: int = 1,
+                            chunk: int = 1 << 16) -> HistogramResult:
     """Histogram of |sqrt(P_n) - y_n| over [0, 1/2] in equal-width bins.
 
     Bins are left-open right-closed; membership comes from
@@ -400,14 +398,19 @@ def half_distance_histogram(x: int, bins: int) -> HistogramResult:
     """
     if x < 1:
         raise ValueError("x must be >= 1")
-    if bins < 2:
-        raise ValueError("need at least 2 bins")
+    if not 2 <= bins <= MAX_BINS:
+        raise ValueError(f"bins must be in [2, {MAX_BINS}], got {bins}")
+    counts, flagged = scan(partial(_histogram_chunk, bins), x, workers, chunk)[x]
+    return HistogramResult(x, bins, tuple(counts[1:].tolist()), flagged)
+
+
+def _histogram_chunk(bins: int, span: RangeSpec) -> tuple[np.ndarray, int]:
     counts = np.zeros(bins + 1, np.int64)
     flagged = 0
-    for _, f, d in fd_blocks(1, x):
+    for _, f, d in fd_blocks(span.lo, span.hi):
         counts += np.bincount(distance_bins(f, d, 2 * bins), minlength=bins + 1)
         flagged += int(np.count_nonzero(d == 0))
-    return HistogramResult(x, bins, tuple(counts[1:].tolist()), flagged)
+    return counts, flagged
 
 
 def doubled_distance_points(x: int, bits: int = DEFAULT_BITS) -> PhasePoints:

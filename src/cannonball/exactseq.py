@@ -24,6 +24,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from multiprocessing import get_context
 from typing import Iterator
 
@@ -32,6 +33,7 @@ import numpy as np
 DEFAULT_BITS = 96
 FD_CAP = 10**10      # last index the vector (f, d) kernel accepts; see block_fd
 SUB_BLOCK = 1 << 12  # indices per kernel call, which bounds its transient arrays
+MAX_BINS = 1 << 20   # largest histogram bin count and sandwich L/2; bounds their per-chunk arrays
 
 
 class Side(Enum):
@@ -152,8 +154,8 @@ def stream_terms(spec: RangeSpec) -> Iterator[Term]:
 
     (f, d) come from the block_fd kernel and p = f^2 + d.  Disjoint chunks
     from spec.chunks() can be processed by independent workers and merged
-    by index; any aggregation layered on top must be associative and
-    commutative over disjoint ranges.
+    by index; a reduction over the terms belongs on scan, which does that
+    splitting and merging once for every reduction.
     """
     for lo, fs, ds in fd_blocks(spec.lo, spec.hi):
         for n, f, d in zip(range(lo, spec.hi + 1), fs.tolist(), ds.tolist()):
@@ -241,6 +243,49 @@ def ordered_map(fn, items, workers: int = 1) -> Iterator:
             yield from pool.imap(fn, items)
     else:
         yield from map(fn, items)
+
+
+def scan(fn, hi: int, workers: int = 1, chunk: int = 1 << 16, marks=(), start_n: int = 1,
+         init=None, progress=None) -> dict:
+    """Fold fn over the indices [start_n, hi]: {stop: running total} at every mark and at hi.
+
+    [start_n, hi] is cut into RangeSpec spans of at most `chunk` indices,
+    none of which crosses a mark, and ordered_map runs fn(span) on each,
+    in a pool of up to `workers` processes.  fn returns a tuple of
+    partials; they are merged into the running total componentwise by +,
+    in index order, starting from `init` (None: from the first tuple).
+    Ints and numpy arrays add and lists concatenate, so members stay in
+    index order; a component is never a tuple, since tuple + tuple
+    concatenates where addition is meant.  Exact components make the
+    totals independent of workers and chunk.  The pool pickles fn, so it
+    is a module-level function or a functools.partial of one.
+
+    progress(last_n, total) is called after each merge.  When start_n > hi
+    nothing is left to scan, and the result is {hi: init}.
+    """
+    if start_n > hi:
+        return {hi: init}
+    stops = sorted(set(marks) | {hi})
+    if stops[0] < start_n or stops[-1] > hi:
+        raise ValueError(f"marks must lie in [{start_n}, {hi}]")
+    spans, lo = [], start_n
+    for stop in stops:
+        spans += [RangeSpec(a, b, chunk) for a, b in RangeSpec(lo, stop, chunk).chunks()]
+        lo = stop + 1
+    total, out, want = init, {}, set(stops)
+    for span, part in zip(spans, ordered_map(fn, spans, workers)):
+        total = part if total is None else tuple(t + p for t, p in zip(total, part))
+        if span.hi in want:
+            out[span.hi] = total
+        if progress is not None:
+            progress(span.hi, total)
+    return out
+
+
+def check_bits(bits: int) -> None:
+    """The one fixed-point precision range, [32, 96], of every reader of fractional parts."""
+    if not 32 <= bits <= DEFAULT_BITS:
+        raise ValueError(f"bits must be in [32, {DEFAULT_BITS}], got {bits}")
 
 
 def frac_sqrt(n: int, bits: int = DEFAULT_BITS) -> FixedFrac:
@@ -346,7 +391,7 @@ def in_exceptional(n: int) -> bool:
     return root_is_lower != int_is_lower
 
 
-def exceptional_indices(x: int) -> list[int]:
+def exceptional_indices(x: int, *, workers: int = 1, chunk: int = 1 << 16) -> list[int]:
     """All n <= x with in_exceptional(n), by exhaustive exact scan.
 
     With p = f^2 + d its two memberships read 2d <= 2f + 1 and 4d < 4f + 1;
@@ -354,12 +399,16 @@ def exceptional_indices(x: int) -> list[int]:
     """
     if x < 1:
         raise ValueError("scan bound must be >= 1")
+    return scan(_exceptional_chunk, x, workers, chunk)[x][0]
+
+
+def _exceptional_chunk(span: RangeSpec) -> tuple[list[int]]:
     out = []
-    for lo, f, d in fd_blocks(1, x):
+    for lo, f, d in fd_blocks(span.lo, span.hi):
         root_is_lower = 2 * d <= 2 * f + 1
         int_is_lower = 4 * d < 4 * f + 1
         out.extend((np.flatnonzero(root_is_lower != int_is_lower) + lo).tolist())
-    return out
+    return (out,)
 
 
 def half_window_check(n: int) -> bool:
@@ -379,14 +428,16 @@ def half_window_check(n: int) -> bool:
     return h * h * p < (g + 2) ** 2
 
 
-def near_half_count(x: int, bits: int = DEFAULT_BITS) -> tuple[int, int]:
+def near_half_count(x: int, bits: int = DEFAULT_BITS, *, workers: int = 1,
+                    chunk: int = 1 << 16) -> tuple[int, int]:
     """Count n <= x with |{sqrt(P_n)} - 1/2| <= x^(-3/4), in fixed point.
 
     Returns (count, borderline).  The window threshold is the exact integer
     T = floor(2**bits * x^(-3/4)) obtained from two nested integer square
     roots.  Margins within 2 ulps of T are reported as borderline instead
     of being silently classified.  Perfect squares (fractional part 0) are
-    excluded by convention.
+    excluded by convention.  bits lies in [32, 96] (check_bits): the cost
+    grows about as bits^1.8, through 2^(4 bits) and the mantissas.
 
     A certified float prefilter skips indices whose margin provably clears
     the window.  The margin |{sqrt(p)} - 1/2| is 1/2 - delta, and a
@@ -402,16 +453,18 @@ def near_half_count(x: int, bits: int = DEFAULT_BITS) -> tuple[int, int]:
     """
     if x < 1:
         raise ValueError("scan bound must be >= 1")
-    if bits < 32:
-        raise ValueError("need at least 32 bits of fixed-point precision")
-    scale = 1 << bits
+    check_bits(bits)
     # T = floor(2^bits / x^(3/4)) = floor((2^(4 bits) / x^3)^(1/4))
     t_int = math.isqrt(math.isqrt((1 << (4 * bits)) // (x * x * x)))
-    half = scale >> 1
-    cutoff = (t_int + 4) / scale + 2.0 ** -50
+    return scan(partial(_near_half_chunk, bits, t_int), x, workers, chunk)[x]
+
+
+def _near_half_chunk(bits: int, t_int: int, span: RangeSpec) -> tuple[int, int]:
+    half = 1 << (bits - 1)
+    cutoff = (t_int + 4) / (1 << bits) + 2.0 ** -50
     count = 0
     borderline = 0
-    for _, f, d in fd_blocks(1, x):
+    for _, f, d in fd_blocks(span.lo, span.hi):
         # perfect squares (d = 0) are excluded from the window
         for i in np.flatnonzero((d != 0) & (0.5 - _distances(f, d) <= cutoff)).tolist():
             m = abs(frac_mantissa(int(f[i]), int(d[i]), bits) - half)

@@ -15,12 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 
 import mpmath as mp
 import numpy as np
 
-from .exactseq import RangeSpec, distance_bins, fd_blocks, frac_mantissa, ordered_map
+from .exactseq import MAX_BINS, RangeSpec, distance_bins, fd_blocks, frac_mantissa, scan
 
 K_MAX = 12          # accumulator cap; configurable but bounded on purpose
 WORK_PREC = 256     # binary precision for main terms and residuals
@@ -69,19 +70,20 @@ class FitReport:
     intercept: float
 
 
-def _block_sums(args) -> tuple[int, ...]:
-    """Worker unit: exact power sums over one index chunk."""
-    lo, hi, ks = args
-    sums = [0] * len(ks)
-    for _, f, d in fd_blocks(lo, hi):
-        a = np.where(d <= f, d, 2 * f + 1 - d)
-        # The int64 sum is exact: on the kernel path a <= f < 2^50 below
-        # FD_CAP and a sub-block holds at most 2^12 terms, so it stays below
-        # 2^62; past the cap a holds Python ints.
-        values = a.tolist() if max(ks) > 1 else None
-        for i, k in enumerate(ks):
-            sums[i] += int(a.sum()) if k == 1 else sum(map(pow, values, repeat(k)))
-    return tuple(sums)
+def _sub_block_sums(f: np.ndarray, d: np.ndarray, ks) -> list[int]:
+    """Exact sums of a^k for each k in ks over one (f, d) sub-block."""
+    a = np.where(d <= f, d, 2 * f + 1 - d)
+    # The int64 sum is exact: on the kernel path a <= f < 2^50 below FD_CAP
+    # and a sub-block holds at most 2^12 terms, so it stays below 2^62;
+    # past the cap a holds Python ints.
+    values = a.tolist() if max(ks) > 1 else None
+    return [int(a.sum()) if k == 1 else sum(map(pow, values, repeat(k))) for k in ks]
+
+
+def _block_sums(ks, span: RangeSpec) -> tuple[int, ...]:
+    """Chunk function of power_sums_at: exact power sums over one span."""
+    parts = [_sub_block_sums(f, d, ks) for _, f, d in fd_blocks(span.lo, span.hi)]
+    return tuple(map(sum, zip(*parts)))
 
 
 def _check_k(k: int):
@@ -93,11 +95,12 @@ def power_sums_at(xs, ks, workers: int = 1, chunk: int = 1 << 16,
                   start_n: int = 1, init=None, progress=None) -> dict[int, tuple[int, ...]]:
     """Exact partial sums of a_n^k for each k in ks, snapshot at every x in xs.
 
-    One cumulative pass over [start_n, max(xs)] split into chunks that never
-    straddle a snapshot point; chunk results are merged in index order, so
-    the outcome is identical for any worker count.  `init` resumes from
-    previously accumulated sums (checkpointing); `progress(last_n, sums)` is
-    invoked after each merged chunk.
+    One exactseq.scan over [start_n, max(xs)] with a mark at every x, so
+    the outcome is identical for any worker count and chunk size.  `init`
+    resumes from previously accumulated sums through start_n - 1
+    (checkpointing); a resume past a single snapshot point returns `init`
+    as its value.  `progress(last_n, sums)` is invoked after each merged
+    chunk.
     """
     xs = sorted(set(int(x) for x in xs))
     if xs[0] < 1:
@@ -105,27 +108,10 @@ def power_sums_at(xs, ks, workers: int = 1, chunk: int = 1 << 16,
     ks = tuple(ks)
     for k in ks:
         _check_k(k)
-    marks = [x for x in xs if x >= start_n]
-    if len(marks) != len(xs):
+    if xs[0] < min(start_n, xs[-1]):
         raise ValueError(f"snapshot points below the resume index {start_n}")
-    # chunks never straddle a snapshot point, so every mark is a block end
-    blocks, lo = [], start_n
-    for m in marks:
-        blocks += [(a, b, ks) for a, b in RangeSpec(lo, m, chunk).chunks()]
-        lo = m + 1
-
-    sums = list(init) if init is not None else [0] * len(ks)
-    out: dict[int, tuple[int, ...]] = {}
-    want = set(xs)
-
-    for block, result in zip(blocks, ordered_map(_block_sums, blocks, workers)):
-        sums = [s + r for s, r in zip(sums, result)]
-        last = block[1]
-        if last in want:
-            out[last] = tuple(sums)
-        if progress is not None:
-            progress(last, tuple(sums))
-    return out
+    init = tuple(init) if init is not None else (0,) * len(ks)
+    return scan(partial(_block_sums, ks), xs[-1], workers, chunk, xs, start_n, init, progress)
 
 
 def power_sums(x: int, ks, workers: int = 1, chunk: int = 1 << 16) -> tuple[int, ...]:
@@ -176,25 +162,43 @@ def average(x: int, workers: int = 1, chunk: int = 1 << 16) -> AverageSummary:
     return AverageSummary(x, Fraction(m1, x), value, main)
 
 
-def sandwich(x: int, k: int, L: int, bits: int = SANDWICH_BITS) -> SandwichResult:
+def sandwich(x: int, k: int, L: int, bits: int = SANDWICH_BITS, *, workers: int = 1,
+             chunk: int = 1 << 16) -> SandwichResult:
     """Rigorous binned bracketing of M_k(x) with L distance bins on [0, 1/2].
 
     Bin j collects (j-1)/L < |sqrt(P_n) - y_n| <= j/L; membership comes from
     exactseq.distance_bins, exact by its certified bound and its isqrt
     fallback, never by rounding.  The weight sums use floor mantissas for
     the lower bound and ceiling mantissas for the upper bound, so both
-    bounds are exact rationals bracketing the exact integer moment.  Zero-distance terms (perfect squares) contribute zero
-    to the moment and are omitted from both bounds.
+    bounds are exact rationals bracketing the exact integer moment, which
+    the same scan sums from the same (f, d) sub-blocks.  Zero-distance
+    terms (perfect squares) contribute zero to the moment and are omitted
+    from both bounds.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
     _check_k(k)
     if L < 2 or L % 2 != 0:
         raise ValueError(f"bin count L={L} must be a positive even integer")
-    nbins = L // 2
-    w_lo = [0] * (nbins + 1)   # 1-indexed bins
-    w_hi = [0] * (nbins + 1)
-    for _, fs, ds in fd_blocks(1, x):
+    if L // 2 > MAX_BINS:
+        raise ValueError(f"bin count L={L} must be <= {2 * MAX_BINS}")
+    w_lo, w_hi, exact = scan(partial(_sandwich_chunk, k, L, bits), x, workers, chunk)[x]
+    lower_num = sum((j - 1) ** k * w_lo[j] for j in range(1, L // 2 + 1))
+    upper_num = sum(j ** k * w_hi[j] for j in range(1, L // 2 + 1))
+    den = L ** k << (k * bits)
+    result = SandwichResult(x, k, L, Fraction(lower_num, den), Fraction(upper_num, den), exact)
+    if not (result.lower <= exact and exact <= result.upper):
+        raise AssertionError(f"sandwich violated at x={x} k={k} L={L}")
+    return result
+
+
+def _sandwich_chunk(k: int, L: int, bits: int, span: RangeSpec):
+    """Chunk function of sandwich: per-bin weight sums (object arrays, 1-indexed) and M_k."""
+    w_lo = [0] * (L // 2 + 1)
+    w_hi = [0] * (L // 2 + 1)
+    exact = 0
+    for _, fs, ds in fd_blocks(span.lo, span.hi):
+        exact += _sub_block_sums(fs, ds, (k,))[0]
         js = distance_bins(fs, ds, L)
         for f, d, j in zip(fs.tolist(), ds.tolist(), js.tolist()):
             if d == 0:
@@ -203,14 +207,7 @@ def sandwich(x: int, k: int, L: int, bits: int = SANDWICH_BITS) -> SandwichResul
             t_lo = frac_mantissa(f, d, bits) + ((f + y) << bits)  # floor(2^bits (sqrt(p) + y))
             w_lo[j] += t_lo ** k
             w_hi[j] += (t_lo + 1) ** k
-    exact = power_sums(x, (k,))[0]
-    lower_num = sum((j - 1) ** k * w_lo[j] for j in range(1, nbins + 1))
-    upper_num = sum(j ** k * w_hi[j] for j in range(1, nbins + 1))
-    den = L ** k << (k * bits)
-    result = SandwichResult(x, k, L, Fraction(lower_num, den), Fraction(upper_num, den), exact)
-    if not (result.lower <= exact and exact <= result.upper):
-        raise AssertionError(f"sandwich violated at x={x} k={k} L={L}")
-    return result
+    return np.array(w_lo, dtype=object), np.array(w_hi, dtype=object), exact
 
 
 def fit_residual(xs, k: int, workers: int = 1, chunk: int = 1 << 16) -> FitReport:

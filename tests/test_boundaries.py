@@ -107,11 +107,27 @@ def test_cli_rejects_bits_out_of_range(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["moments", "--x", "1000", "--bits", "48"],
     ["histogram", "--x", "1000", "--bits", "7"],
-])
-def test_cli_rejects_bits_where_unused(argv):
+] + [[command, *size, flag, "2"]
+     for command, size in (("discrepancy", ("--x", "10")), ("weyl", ("--x", "10")),
+                           ("knbound", ("--x", "10")),
+                           ("optimize", ("--preset", "moment-residual")))
+     for flag in ("--workers", "--chunk")])
+def test_cli_rejects_flags_where_unused(argv):
     proc = run_guarded(["-m", "cannonball.cli", *argv])
     assert proc.returncode == 2
-    assert "unrecognized arguments: --bits" in proc.stderr
+    assert f"unrecognized arguments: {argv[-2]}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["nearhalf", "--x", "100", "--bits", "1000000000"], "bits must be in [32, 96]"),
+    (["histogram", "--x", "10", "--bins", "1000000000000"], "bins must be in [2, 1048576]"),
+    (["sandwich", "--x", "10", "--k", "1", "--L", "1000000000000"], "must be <= 2097152"),
+])
+def test_cli_rejects_sizes_above_cap(argv, message):
+    proc = run_guarded(["-m", "cannonball.cli", *argv])
+    assert proc.returncode == 2
+    assert message in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

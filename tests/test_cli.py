@@ -100,12 +100,19 @@ class TestDeterminism:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_terms_workers_identical(self, tmp_path):
+    @pytest.mark.parametrize("argv", [
+        ["terms", "--range", "1:5000"],
+        ["sandwich", "--x", "5000", "--k", "2", "--L", "100"],
+        ["histogram", "--x", "5000"],
+        ["nearhalf", "--x", "5000", "--bits", "32"],
+        ["exceptional", "--x", "5000"],
+    ], ids=lambda argv: argv[0])
+    def test_scan_workers_identical(self, tmp_path, argv):
         outs = []
-        for workers in (1, 3):
+        for workers, chunk in ((1, 65536), (3, 512)):
             path = tmp_path / f"t{workers}.csv"
-            assert cli.main(["terms", "--range", "1:5000", "--workers", str(workers),
-                             "--chunk", "512", "--output", str(path)]) == 0
+            assert cli.main(argv + ["--workers", str(workers), "--chunk", str(chunk),
+                                    "--output", str(path)]) == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
@@ -147,6 +154,19 @@ class TestCheckpointing:
         other_x = cli.config_from_args(parser.parse_args(["moments", "--x", "101", "--k", "1"]))
         assert base.fingerprint() == tweaked.fingerprint()
         assert base.fingerprint() != other_x.fingerprint()
+
+    @pytest.mark.parametrize("config, hexdigest", [
+        (cli.RunConfig(command="moments", x=123456, k=3, workers=2, chunk=999,
+                       checkpoint_path="a.json", checkpoint_every=5000),
+         "9785c419d9e91ba85f2fdf1ac739cdf285ca31f62540cf43166c26bedc164ba1"),
+        (cli.RunConfig(command="sandwich", x=150000, k=2, L=100, out_format="json"),
+         "7e97ac1bfaba2b1167da3b94fc497627090bd15b76c7364f7658cbf55794fd07"),
+        (cli.RunConfig(command="fit", k=2, xs=(1000, 10000, 100000)),
+         "3d27e99a712dd448ee2e48e15d59216f3eeb5c27c04d590f246799918f30afcc"),
+    ], ids=["moments", "sandwich", "fit"])
+    def test_fingerprint_is_pinned(self, config, hexdigest):
+        # the hex of existing checkpoints: a change here orphans every one of them
+        assert config.fingerprint() == hexdigest
 
     def test_checkpoints_written_during_run(self, tmp_path):
         ck = tmp_path / "ck.json"

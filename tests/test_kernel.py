@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cannonball import equidist as eq
 from cannonball import exactseq as xs
 from cannonball import moments as mo
 from conftest import oracle_term
@@ -145,6 +146,87 @@ class TestPartitionInvariance:
         rest = mo.power_sums_at([self.X], self.KS, workers=workers, chunk=chunk,
                                 start_n=resume + 1, init=first)
         assert rest[self.X] == reference
+
+    REDUCTIONS = {
+        "histogram": lambda x, **kw: eq.half_distance_histogram(x, 7, **kw).counts,
+        "nearhalf": lambda x, **kw: xs.near_half_count(x, 32, **kw),
+        "exceptional": lambda x, **kw: xs.exceptional_indices(x, **kw),
+        "sandwich": lambda x, **kw: _bracket(mo.sandwich(x, 3, 10, **kw)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REDUCTIONS))
+    def test_every_scan_reduction(self, name):
+        reduce = self.REDUCTIONS[name]
+        want = reduce(self.X)
+
+        @settings(max_examples=8)
+        @given(chunk=st.integers(1, 3 * xs.SUB_BLOCK), workers=st.sampled_from([1, 2]))
+        def check(chunk, workers):
+            assert reduce(self.X, workers=workers, chunk=chunk) == want
+
+        check()
+
+
+def _bracket(r):
+    return r.lower, r.upper, r.exact
+
+
+def _span_parts(span):
+    """Chunk function for the scan tests: an int, a list and an array component."""
+    return span.hi - span.lo + 1, [span.lo], np.array([span.lo, 1])
+
+
+def _plain(total):
+    return total[0], total[1], total[2].tolist()
+
+
+class TestScan:
+    def test_marks_split_chunks_and_snapshot_totals(self):
+        seen = []
+        out = xs.scan(_span_parts, 100, chunk=30, marks=(45,),
+                      progress=lambda last, total: seen.append((last, _plain(total))))
+        assert {n: _plain(t) for n, t in out.items()} == {
+            45: (45, [1, 31], [32, 2]),
+            100: (100, [1, 31, 46, 76], [154, 4]),
+        }
+        assert seen == [(30, (30, [1], [1, 1])), (45, (45, [1, 31], [32, 2])),
+                        (75, (75, [1, 31, 46], [78, 3])), (100, _plain(out[100]))]
+
+    def test_resume_from_init(self):
+        init = (45, [1, 31], np.array([32, 2]))
+        out = xs.scan(_span_parts, 100, chunk=30, start_n=46, init=init)
+        assert list(out) == [100]
+        assert _plain(out[100]) == (100, [1, 31, 46, 76], [154, 4])
+
+    def test_nothing_left_returns_init(self):
+        calls = []
+        assert xs.scan(_span_parts, 10, start_n=11, init=(7,),
+                       progress=lambda *a: calls.append(a)) == {10: (7,)}
+        assert calls == []
+
+    def test_workers_do_not_change_totals(self):
+        serial = xs.scan(_span_parts, 1000, chunk=37, marks=(500, 999))
+        pooled = xs.scan(_span_parts, 1000, workers=2, chunk=37, marks=(500, 999))
+        assert {n: _plain(t) for n, t in serial.items()} == \
+            {n: _plain(t) for n, t in pooled.items()}
+
+    @pytest.mark.parametrize("marks, start_n", [((0,), 1), ((101,), 1), ((20,), 30)])
+    def test_rejects_marks_outside_the_range(self, marks, start_n):
+        with pytest.raises(ValueError, match="marks"):
+            xs.scan(_span_parts, 100, marks=marks, start_n=start_n)
+
+    def test_sandwich_is_one_kernel_pass(self, monkeypatch):
+        fed = []
+        block_fd = xs.block_fd
+
+        def counting(lo, hi):
+            fed.append(hi - lo + 1)
+            return block_fd(lo, hi)
+
+        monkeypatch.setattr(xs, "block_fd", counting)
+        x = 3 * xs.SUB_BLOCK + 17
+        mo.sandwich(x, 2, 100, chunk=5000)
+        assert sum(fed) == x
 
 
 class TestOrderedMap:
