@@ -261,6 +261,8 @@ def _cmd_weyl(cfg: RunConfig):
 
 
 def _cmd_knbound(cfg: RunConfig):
+    if cfg.m_max < 1:
+        raise ValueError(f"--m-max must be >= 1, got {cfg.m_max}")
     rows = []
     for m in range(1, cfg.m_max + 1):
         s = equidist.exp_sum(1, cfg.x, m, cfg.bits)
@@ -380,8 +382,7 @@ def run(config: RunConfig) -> int:
         return 2
     try:
         rows, fieldnames = handler(config)
-        fmt = "json" if config.command == "optimize" else config.out_format
-        emit(rows, fmt, config.output, fieldnames)
+        emit(rows, config.out_format, config.output, fieldnames)
     except CheckpointMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -407,10 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cannonball",
         description="Exact nearest-square distances of square pyramidal numbers: "
                     "sequence terms, moments, equidistribution and balancing tools.")
-    common = argparse.ArgumentParser(add_help=False)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="write to this path instead of stdout")
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--out", choices=["csv", "json"], default="csv",
                         dest="out_format", help="output format (default csv)")
-    common.add_argument("--output", help="write to this path instead of stdout")
     # parents of only the commands that read them, so no other command
     # accepts --workers, --chunk or --bits and ignores it
     scan = argparse.ArgumentParser(add_help=False)
@@ -469,8 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--bins", type=int, default=20)
 
-    p = sub.add_parser("optimize", parents=[common],
-                       help="balance a decreasing monomial against increasing ones")
+    # no prefix matching here, or --out would silently mean --output
+    p = sub.add_parser("optimize", parents=[output], allow_abbrev=False,
+                       help="balance a decreasing monomial against increasing ones (JSON)")
+    p.set_defaults(out_format="json")
     p.add_argument("--expr", help='e.g. "F=x:5/2,K:-1/2;G=x:19/8,K:1/4"')
     p.add_argument("--var", help="variable to balance")
     p.add_argument("--preset", choices=["moment-residual"],

@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactseq import (DEFAULT_BITS, MAX_BINS, FixedFrac, RangeSpec, check_bits, distance_bins,
-                       fd_blocks, frac_mantissa, scan)
+from .exactseq import (DEFAULT_BITS, MAX_BINS, FixedFrac, check_bits, distance_bins, fd_blocks,
+                       frac_mantissa, scan)
 
 _WIDTH = 96                 # exact points hold mantissa << (_WIDTH - bits)
 _MASK32 = (1 << 32) - 1
@@ -400,17 +400,13 @@ def half_distance_histogram(x: int, bins: int, *, workers: int = 1,
         raise ValueError("x must be >= 1")
     if not 2 <= bins <= MAX_BINS:
         raise ValueError(f"bins must be in [2, {MAX_BINS}], got {bins}")
-    counts, flagged = scan(partial(_histogram_chunk, bins), x, workers, chunk)[x]
+    counts, flagged = scan(partial(_histogram_part, bins), x, workers, chunk)[x]
     return HistogramResult(x, bins, tuple(counts[1:].tolist()), flagged)
 
 
-def _histogram_chunk(bins: int, span: RangeSpec) -> tuple[np.ndarray, int]:
-    counts = np.zeros(bins + 1, np.int64)
-    flagged = 0
-    for _, f, d in fd_blocks(span.lo, span.hi):
-        counts += np.bincount(distance_bins(f, d, 2 * bins), minlength=bins + 1)
-        flagged += int(np.count_nonzero(d == 0))
-    return counts, flagged
+def _histogram_part(bins: int, s: int, f: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, int]:
+    counts = np.bincount(distance_bins(f, d, 2 * bins), minlength=bins + 1)
+    return counts, int(np.count_nonzero(d == 0))
 
 
 def doubled_distance_points(x: int, bits: int = DEFAULT_BITS) -> PhasePoints:

@@ -20,6 +20,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -33,7 +34,9 @@ import numpy as np
 DEFAULT_BITS = 96
 FD_CAP = 10**10      # last index the vector (f, d) kernel accepts; see block_fd
 SUB_BLOCK = 1 << 12  # indices per kernel call, which bounds its transient arrays
-MAX_BINS = 1 << 20   # largest histogram bin count and sandwich L/2; bounds their per-chunk arrays
+# largest histogram bin count, which sizes the histogram's one bin array; it
+# also caps the sandwich's L/2, as input validation far below distance_bins' L < 2^53
+MAX_BINS = 1 << 20
 
 
 class Side(Enum):
@@ -249,19 +252,22 @@ def scan(fn, hi: int, workers: int = 1, chunk: int = 1 << 16, marks=(), start_n:
          init=None, progress=None) -> dict:
     """Fold fn over the indices [start_n, hi]: {stop: running total} at every mark and at hi.
 
-    [start_n, hi] is cut into RangeSpec spans of at most `chunk` indices,
-    none of which crosses a mark, and ordered_map runs fn(span) on each,
-    in a pool of up to `workers` processes.  fn returns a tuple of
-    partials; they are merged into the running total componentwise by +,
-    in index order, starting from `init` (None: from the first tuple).
-    Ints and numpy arrays add and lists concatenate, so members stay in
-    index order; a component is never a tuple, since tuple + tuple
-    concatenates where addition is meant.  Exact components make the
-    totals independent of workers and chunk.  The pool pickles fn, so it
-    is a module-level function or a functools.partial of one.
+    fn(s, f, d) reduces one fd_blocks sub-block, f[i] and d[i] belonging to
+    index s + i, to a tuple of partials, and returns fresh objects: they
+    are folded into the total of their span in place (operator.iadd), so
+    ints add, numpy arrays add into the first one and lists extend it.
+    A component is never a tuple, since tuple + tuple concatenates where
+    addition is meant.  fn is pickled into the pool, so it is a
+    module-level function or a functools.partial of one.
 
-    progress(last_n, total) is called after each merge.  When start_n > hi
-    nothing is left to scan, and the result is {hi: init}.
+    [start_n, hi] is cut into spans of at most `chunk` indices, none of
+    which crosses a mark, and ordered_map folds each span in a pool of up
+    to `workers` processes.  The span totals are merged into the running
+    total by + in index order, starting from `init` (None: from the first
+    span), so `init`, the snapshot at each mark and the totals passed to
+    progress(last_n, total) after each merge are never mutated afterwards.
+    Exact components make the totals independent of workers and chunk.
+    When start_n > hi nothing is left to scan, and the result is {hi: init}.
     """
     if start_n > hi:
         return {hi: init}
@@ -270,16 +276,25 @@ def scan(fn, hi: int, workers: int = 1, chunk: int = 1 << 16, marks=(), start_n:
         raise ValueError(f"marks must lie in [{start_n}, {hi}]")
     spans, lo = [], start_n
     for stop in stops:
-        spans += [RangeSpec(a, b, chunk) for a, b in RangeSpec(lo, stop, chunk).chunks()]
+        spans += RangeSpec(lo, stop, chunk).chunks()
         lo = stop + 1
     total, out, want = init, {}, set(stops)
-    for span, part in zip(spans, ordered_map(fn, spans, workers)):
+    for (_, last), part in zip(spans, ordered_map(partial(_fold_span, fn), spans, workers)):
         total = part if total is None else tuple(t + p for t, p in zip(total, part))
-        if span.hi in want:
-            out[span.hi] = total
+        if last in want:
+            out[last] = total
         if progress is not None:
-            progress(span.hi, total)
+            progress(last, total)
     return out
+
+
+def _fold_span(fn, span: tuple[int, int]) -> tuple:
+    """fn folded over the sub-blocks of one (lo, hi) span; the total is this call's own."""
+    blocks = fd_blocks(*span)
+    total = fn(*next(blocks))
+    for block in blocks:
+        total = tuple(map(operator.iadd, total, fn(*block)))
+    return total
 
 
 def check_bits(bits: int) -> None:
@@ -293,11 +308,11 @@ def frac_sqrt(n: int, bits: int = DEFAULT_BITS) -> FixedFrac:
 
     The mantissa is the floor of the true fractional part scaled by
     2**bits (frac_mantissa), so the error is strictly below one ulp.
+    bits lies in [32, 96] (check_bits).
     """
     if n < 1:
         raise ValueError("index must be >= 1")
-    if bits < 32:
-        raise ValueError("need at least 32 bits of fixed-point precision")
+    check_bits(bits)
     p = pyramidal(n)
     f = math.isqrt(p)
     return FixedFrac(frac_mantissa(f, p - f * f, bits), bits, 1)
@@ -399,16 +414,13 @@ def exceptional_indices(x: int, *, workers: int = 1, chunk: int = 1 << 16) -> li
     """
     if x < 1:
         raise ValueError("scan bound must be >= 1")
-    return scan(_exceptional_chunk, x, workers, chunk)[x][0]
+    return scan(_exceptional_part, x, workers, chunk)[x][0]
 
 
-def _exceptional_chunk(span: RangeSpec) -> tuple[list[int]]:
-    out = []
-    for lo, f, d in fd_blocks(span.lo, span.hi):
-        root_is_lower = 2 * d <= 2 * f + 1
-        int_is_lower = 4 * d < 4 * f + 1
-        out.extend((np.flatnonzero(root_is_lower != int_is_lower) + lo).tolist())
-    return (out,)
+def _exceptional_part(s: int, f: np.ndarray, d: np.ndarray) -> tuple[list[int]]:
+    root_is_lower = 2 * d <= 2 * f + 1
+    int_is_lower = 4 * d < 4 * f + 1
+    return ((np.flatnonzero(root_is_lower != int_is_lower) + s).tolist(),)
 
 
 def half_window_check(n: int) -> bool:
@@ -456,20 +468,19 @@ def near_half_count(x: int, bits: int = DEFAULT_BITS, *, workers: int = 1,
     check_bits(bits)
     # T = floor(2^bits / x^(3/4)) = floor((2^(4 bits) / x^3)^(1/4))
     t_int = math.isqrt(math.isqrt((1 << (4 * bits)) // (x * x * x)))
-    return scan(partial(_near_half_chunk, bits, t_int), x, workers, chunk)[x]
+    return scan(partial(_near_half_part, bits, t_int), x, workers, chunk)[x]
 
 
-def _near_half_chunk(bits: int, t_int: int, span: RangeSpec) -> tuple[int, int]:
+def _near_half_part(bits: int, t_int: int, s: int, f: np.ndarray,
+                    d: np.ndarray) -> tuple[int, int]:
     half = 1 << (bits - 1)
     cutoff = (t_int + 4) / (1 << bits) + 2.0 ** -50
-    count = 0
-    borderline = 0
-    for _, f, d in fd_blocks(span.lo, span.hi):
-        # perfect squares (d = 0) are excluded from the window
-        for i in np.flatnonzero((d != 0) & (0.5 - _distances(f, d) <= cutoff)).tolist():
-            m = abs(frac_mantissa(int(f[i]), int(d[i]), bits) - half)
-            if abs(m - t_int) <= 2:
-                borderline += 1
-            elif m < t_int:
-                count += 1
+    count = borderline = 0
+    # perfect squares (d = 0) are excluded from the window
+    for i in np.flatnonzero((d != 0) & (0.5 - _distances(f, d) <= cutoff)).tolist():
+        m = abs(frac_mantissa(int(f[i]), int(d[i]), bits) - half)
+        if abs(m - t_int) <= 2:
+            borderline += 1
+        elif m < t_int:
+            count += 1
     return count, borderline

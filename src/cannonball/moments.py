@@ -4,10 +4,12 @@ M_k(x) = sum of a_n^k over n <= x is accumulated as a Python integer, so
 every reported moment is exact.  Main terms are evaluated with mpmath at
 WORK_PREC bits; residuals are exact-minus-main at that precision.
 
-The sandwich bounds bracket M_k(x) rigorously: bin weights are exact
-rationals and the per-term weights (sqrt(P_n)+y_n)^k are accumulated from
-floor/ceiling fixed-point mantissas, so `lower <= exact <= upper` is an
-integer-arithmetic fact, not an approximation.
+The sandwich bounds bracket M_k(x) rigorously: a_n = delta_n (sqrt(P_n) + y_n),
+delta_n lies in the distance bin j_n and the weight sqrt(P_n) + y_n between
+fixed-point values, so both bounds are exact integer sums over n divided by
+one integer, and `lower <= exact <= upper` is an integer-arithmetic fact,
+not an approximation.  No per-bin sums are kept: weighting the per-bin sums
+of t_n^k by j^k gives the same integer as summing (j_n t_n)^k per index.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import repeat
 import mpmath as mp
 import numpy as np
 
-from .exactseq import MAX_BINS, RangeSpec, distance_bins, fd_blocks, frac_mantissa, scan
+from .exactseq import MAX_BINS, distance_bins, scan
 
 K_MAX = 12          # accumulator cap; configurable but bounded on purpose
 WORK_PREC = 256     # binary precision for main terms and residuals
@@ -70,20 +72,14 @@ class FitReport:
     intercept: float
 
 
-def _sub_block_sums(f: np.ndarray, d: np.ndarray, ks) -> list[int]:
+def _power_sums_part(ks, s: int, f: np.ndarray, d: np.ndarray) -> tuple[int, ...]:
     """Exact sums of a^k for each k in ks over one (f, d) sub-block."""
     a = np.where(d <= f, d, 2 * f + 1 - d)
     # The int64 sum is exact: on the kernel path a <= f < 2^50 below FD_CAP
     # and a sub-block holds at most 2^12 terms, so it stays below 2^62;
     # past the cap a holds Python ints.
     values = a.tolist() if max(ks) > 1 else None
-    return [int(a.sum()) if k == 1 else sum(map(pow, values, repeat(k))) for k in ks]
-
-
-def _block_sums(ks, span: RangeSpec) -> tuple[int, ...]:
-    """Chunk function of power_sums_at: exact power sums over one span."""
-    parts = [_sub_block_sums(f, d, ks) for _, f, d in fd_blocks(span.lo, span.hi)]
-    return tuple(map(sum, zip(*parts)))
+    return tuple(int(a.sum()) if k == 1 else sum(map(pow, values, repeat(k))) for k in ks)
 
 
 def _check_k(k: int):
@@ -111,7 +107,7 @@ def power_sums_at(xs, ks, workers: int = 1, chunk: int = 1 << 16,
     if xs[0] < min(start_n, xs[-1]):
         raise ValueError(f"snapshot points below the resume index {start_n}")
     init = tuple(init) if init is not None else (0,) * len(ks)
-    return scan(partial(_block_sums, ks), xs[-1], workers, chunk, xs, start_n, init, progress)
+    return scan(partial(_power_sums_part, ks), xs[-1], workers, chunk, xs, start_n, init, progress)
 
 
 def power_sums(x: int, ks, workers: int = 1, chunk: int = 1 << 16) -> tuple[int, ...]:
@@ -166,12 +162,15 @@ def sandwich(x: int, k: int, L: int, bits: int = SANDWICH_BITS, *, workers: int 
              chunk: int = 1 << 16) -> SandwichResult:
     """Rigorous binned bracketing of M_k(x) with L distance bins on [0, 1/2].
 
-    Bin j collects (j-1)/L < |sqrt(P_n) - y_n| <= j/L; membership comes from
-    exactseq.distance_bins, exact by its certified bound and its isqrt
-    fallback, never by rounding.  The weight sums use floor mantissas for
-    the lower bound and ceiling mantissas for the upper bound, so both
-    bounds are exact rationals bracketing the exact integer moment, which
-    the same scan sums from the same (f, d) sub-blocks.  Zero-distance
+    Bin j_n holds (j_n-1)/L < delta_n = |sqrt(P_n) - y_n| <= j_n/L; membership
+    comes from exactseq.distance_bins, exact by its certified bound and its
+    isqrt fallback, never by rounding.  With a_n = delta_n (sqrt(P_n) + y_n)
+    and t_n = floor(2^bits (sqrt(P_n) + y_n)), a_n^k lies between
+    ((j_n - 1) t_n)^k / den and (j_n (t_n + 1))^k / den, den = L^k 2^(k bits).
+    Both numerators are per-index integer sums (the same integers as
+    weighting per-bin sums of t_n^k and (t_n + 1)^k by (j-1)^k and j^k), so
+    the bounds are exact rationals bracketing the exact integer moment,
+    which the same scan sums from the same (f, d) sub-blocks.  Zero-distance
     terms (perfect squares) contribute zero to the moment and are omitted
     from both bounds.
     """
@@ -182,9 +181,7 @@ def sandwich(x: int, k: int, L: int, bits: int = SANDWICH_BITS, *, workers: int 
         raise ValueError(f"bin count L={L} must be a positive even integer")
     if L // 2 > MAX_BINS:
         raise ValueError(f"bin count L={L} must be <= {2 * MAX_BINS}")
-    w_lo, w_hi, exact = scan(partial(_sandwich_chunk, k, L, bits), x, workers, chunk)[x]
-    lower_num = sum((j - 1) ** k * w_lo[j] for j in range(1, L // 2 + 1))
-    upper_num = sum(j ** k * w_hi[j] for j in range(1, L // 2 + 1))
+    lower_num, upper_num, exact = scan(partial(_sandwich_part, k, L, bits), x, workers, chunk)[x]
     den = L ** k << (k * bits)
     result = SandwichResult(x, k, L, Fraction(lower_num, den), Fraction(upper_num, den), exact)
     if not (result.lower <= exact and exact <= result.upper):
@@ -192,22 +189,17 @@ def sandwich(x: int, k: int, L: int, bits: int = SANDWICH_BITS, *, workers: int 
     return result
 
 
-def _sandwich_chunk(k: int, L: int, bits: int, span: RangeSpec):
-    """Chunk function of sandwich: per-bin weight sums (object arrays, 1-indexed) and M_k."""
-    w_lo = [0] * (L // 2 + 1)
-    w_hi = [0] * (L // 2 + 1)
-    exact = 0
-    for _, fs, ds in fd_blocks(span.lo, span.hi):
-        exact += _sub_block_sums(fs, ds, (k,))[0]
-        js = distance_bins(fs, ds, L)
-        for f, d, j in zip(fs.tolist(), ds.tolist(), js.tolist()):
-            if d == 0:
-                continue
-            y = f if d <= f else f + 1
-            t_lo = frac_mantissa(f, d, bits) + ((f + y) << bits)  # floor(2^bits (sqrt(p) + y))
-            w_lo[j] += t_lo ** k
-            w_hi[j] += (t_lo + 1) ** k
-    return np.array(w_lo, dtype=object), np.array(w_hi, dtype=object), exact
+def _sandwich_part(k: int, L: int, bits: int, s: int, fs: np.ndarray,
+                   ds: np.ndarray) -> tuple[int, int, int]:
+    """The sandwich's lower and upper numerators and M_k over one (f, d) sub-block."""
+    lower = upper = 0
+    for f, d, j in zip(fs.tolist(), ds.tolist(), distance_bins(fs, ds, L).tolist()):
+        if d:  # perfect squares (d = 0) are omitted
+            # floor(2^bits (sqrt(p) + y)) = floor(2^bits sqrt(p)) + 2^bits y
+            t = math.isqrt((f * f + d) << (2 * bits)) + ((f if d <= f else f + 1) << bits)
+            lower += ((j - 1) * t) ** k
+            upper += (j * (t + 1)) ** k
+    return lower, upper, _power_sums_part((k,), s, fs, ds)[0]
 
 
 def fit_residual(xs, k: int, workers: int = 1, chunk: int = 1 << 16) -> FitReport:

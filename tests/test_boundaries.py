@@ -111,7 +111,9 @@ def test_cli_rejects_bits_out_of_range(capsys, argv):
      for command, size in (("discrepancy", ("--x", "10")), ("weyl", ("--x", "10")),
                            ("knbound", ("--x", "10")),
                            ("optimize", ("--preset", "moment-residual")))
-     for flag in ("--workers", "--chunk")])
+     for flag in ("--workers", "--chunk")] + [
+    ["optimize", "--preset", "moment-residual", "--out", "csv"],
+])
 def test_cli_rejects_flags_where_unused(argv):
     proc = run_guarded(["-m", "cannonball.cli", *argv])
     assert proc.returncode == 2
@@ -134,6 +136,7 @@ def test_cli_rejects_sizes_above_cap(argv, message):
 @pytest.mark.parametrize("argv, message", [
     (["discrepancy", "--x", "1000", "--K", "0"], "truncation K must be >= 1"),
     (["optimize", "--preset", "moment-residual", "--k", "0"], "k must be >= 1"),
+    (["knbound", "--x", "1000", "--m-max", "0"], "--m-max must be >= 1, got 0"),
 ])
 def test_cli_rejects_zero_counts(capsys, argv, message):
     assert cli.main(argv) == 2

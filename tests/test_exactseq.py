@@ -162,8 +162,9 @@ class TestFracSqrt:
     def test_validation(self):
         with pytest.raises(ValueError):
             xs.frac_sqrt(0, 96)
-        with pytest.raises(ValueError):
-            xs.frac_sqrt(5, 16)
+        for bits in (16, 97, 10**9):
+            with pytest.raises(ValueError, match=r"bits must be in \[32, 96\]"):
+                xs.frac_sqrt(5, bits)
 
 
 class TestExceptional:

@@ -171,9 +171,9 @@ def _bracket(r):
     return r.lower, r.upper, r.exact
 
 
-def _span_parts(span):
-    """Chunk function for the scan tests: an int, a list and an array component."""
-    return span.hi - span.lo + 1, [span.lo], np.array([span.lo, 1])
+def _span_parts(s, f, d):
+    """Sub-block function for the scan tests: an int, a list and an array component."""
+    return len(f), [s], np.array([s, 1])
 
 
 def _plain(total):
@@ -197,6 +197,7 @@ class TestScan:
         out = xs.scan(_span_parts, 100, chunk=30, start_n=46, init=init)
         assert list(out) == [100]
         assert _plain(out[100]) == (100, [1, 31, 46, 76], [154, 4])
+        assert _plain(init) == (45, [1, 31], [32, 2])
 
     def test_nothing_left_returns_init(self):
         calls = []

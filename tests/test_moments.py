@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -11,6 +12,26 @@ from conftest import oracle_term
 
 def oracle_moment(x, k):
     return sum(oracle_term(n)[2] ** k for n in range(1, x + 1))
+
+
+def per_bin_sandwich(x, k, L, bits=mo.SANDWICH_BITS):
+    """Sandwich bounds from per-bin sums: bins by isqrt(L^2 p), weights by isqrt(p << 2 bits)."""
+    w_lo = [0] * (L // 2 + 1)
+    w_hi = [0] * (L // 2 + 1)
+    for n in range(1, x + 1):
+        p, y, a = oracle_term(n)
+        if a == 0:
+            continue
+        f = math.isqrt(p)
+        r = math.isqrt(L * L * p)  # floor(L sqrt(p))
+        j = r - L * f + 1 if y == f else L * (f + 1) - r
+        t = math.isqrt(p << 2 * bits) + (y << bits)  # floor(2^bits (sqrt(p) + y))
+        w_lo[j] += t ** k
+        w_hi[j] += (t + 1) ** k
+    den = L ** k << (k * bits)
+    lower = sum((j - 1) ** k * w for j, w in enumerate(w_lo))
+    upper = sum(j ** k * w for j, w in enumerate(w_hi))
+    return Fraction(lower, den), Fraction(upper, den)
 
 
 class TestMoment:
@@ -130,6 +151,22 @@ class TestSandwich:
     def test_golden_relative_widths_1e5(self):
         assert abs(mo.sandwich(10**5, 1, 10).rel_width - 0.33335164170450077) < 1e-12
         assert abs(mo.sandwich(10**5, 1, 100).rel_width - 0.039195276351484905) < 1e-12
+
+    @pytest.mark.parametrize("x", [24, 3000, 3 * xs.SUB_BLOCK + 5])
+    @pytest.mark.parametrize("k, L", [(1, 2), (2, 10), (5, 1000)])
+    def test_equals_per_bin_reference(self, x, k, L):
+        r = mo.sandwich(x, k, L)
+        assert (r.lower, r.upper) == per_bin_sandwich(x, k, L)
+        assert r.exact == oracle_moment(x, k)
+
+    def test_memory_does_not_grow_with_L(self):
+        tracemalloc.start()
+        try:
+            mo.sandwich(20000, 2, 2 * xs.MAX_BINS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_weight_normalization_limit(self):
         # (sqrt(P_n) + y_n)^k / ((2/sqrt(3))^k n^(3k/2)) -> 1

@@ -1,0 +1,72 @@
+"""Compare the CLI output bytes of two source trees over a fixed matrix of commands.
+
+    python3 tools/cli_bytes.py BASE_DIR
+
+BASE_DIR is another checkout of this repository, for example a `git
+worktree` or `git archive` of the parent commit.  Each case in CASES runs
+as `PYTHONPATH=<tree>/src python3 -m cannonball.cli ARGS --output FILE`,
+once in BASE_DIR and once in the tree that holds this script.  One line
+per case reads `same` or `DIFF`, followed by the arguments; a case counts
+as the same when both runs exit 0 and write identical bytes.  The exit
+status is 1 if any case is not the same.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HEAD = Path(__file__).resolve().parent.parent
+XS = (1000, 150000, 500000)
+MODES = ((), ("--workers", "2", "--chunk", "4096"), ("--workers", "2", "--chunk", "10007"))
+COMMANDS = (
+    ("sandwich", "--k", "1", "--L", "2"),
+    ("sandwich", "--k", "2", "--L", "100"),
+    ("sandwich", "--k", "5", "--L", "1000"),
+    ("histogram", "--bins", "20"),
+    ("histogram", "--bins", "997"),
+    ("nearhalf", "--bits", "32"),
+    ("nearhalf", "--bits", "48"),
+    ("nearhalf", "--bits", "96"),
+    ("exceptional",),
+    ("moments", "--k", "1"),
+    ("moments", "--k", "3"),
+    ("moments", "--k", "7"),
+)
+CASES = [(*command, "--x", str(x), *mode) for command in COMMANDS for x in XS for mode in MODES]
+CASES += [
+    ("fit", "--k", "2", "--xs", "1000,10000,100000,1000000"),
+    ("sandwich", "--x", "20000", "--k", "3", "--L", "2097152"),
+    ("histogram", "--x", "100000", "--bins", "1048576"),
+]
+
+
+def run_case(tree: Path, args, out: Path) -> tuple[int, bytes]:
+    """(exit status, bytes written) of one CLI run from tree's src/."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, "-m", "cannonball.cli", *args, "--output", str(out)],
+                          env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return proc.returncode, out.read_bytes() if out.exists() else b""
+
+
+def main(argv=None, cases=CASES) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: python3 tools/cli_bytes.py BASE_DIR", file=sys.stderr)
+        return 2
+    base = Path(argv[0]).resolve()
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, args in enumerate(cases):
+            code, data = run_case(base, args, Path(tmp, f"base{i}"))
+            same = code == 0 and (code, data) == run_case(HEAD, args, Path(tmp, f"head{i}"))
+            differ += not same
+            print(f"{'same' if same else 'DIFF'}  {' '.join(args)}", flush=True)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
