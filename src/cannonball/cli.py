@@ -11,6 +11,14 @@ uninterrupted one.  A checkpoint refuses to resume under a configuration
 whose semantic fingerprint differs (worker count, chunk size and checkpoint
 cadence are deliberately not part of the fingerprint).
 
+emit is the one writer.  terms formats each chunk of rows straight from
+the (f, d) kernel into one string, and emit writes each chunk as it
+arrives, so memory does not grow with the range; the other commands' few
+dict rows are rendered into one chunk.  A file is written to FILE.tmp and
+renamed over FILE only when complete: on any error the .tmp file is
+removed and an existing FILE keeps its bytes.  A reader that closes
+stdout early (`| head`) ends the run quietly, with status 0.
+
 Exit status: 0 on success, 2 for bad input, 3 for a checkpoint written by
 another configuration, 4 when a result fails its own self-check (the
 sandwich bracket or the Erdos-Turan inequality), which points to a defect
@@ -103,8 +111,8 @@ def _fraction_str(fr) -> str:
         return mp.nstr(mp.mpf(fr.numerator) / fr.denominator, REAL_DIGITS)
 
 
-def emit(rows: list[dict], out_format: str, destination=None, fieldnames=None):
-    """Write rows as RFC-4180 CSV or a JSON array with stable field order."""
+def _render(rows: list[dict], out_format: str, fieldnames=None) -> str:
+    """Dict rows as RFC-4180 CSV or a JSON array with stable field order."""
     buf = io.StringIO()
     if out_format == "csv":
         if fieldnames is None:
@@ -119,14 +127,44 @@ def emit(rows: list[dict], out_format: str, destination=None, fieldnames=None):
         buf.write("\n")
     else:
         raise ValueError(f"unknown output format {out_format!r}")
-    data = buf.getvalue()
+    return buf.getvalue()
+
+
+def emit(rows, out_format: str, destination=None, fieldnames=None):
+    """Write a command's output to stdout or to `destination`, chunk by chunk.
+
+    rows is a list of dict rows, rendered as one chunk of RFC-4180 CSV or a
+    JSON array with stable field order, or an iterator of text chunks
+    already in out_format (how terms streams), each written as it arrives,
+    so memory does not grow with the output.
+
+    A file is written to destination + ".tmp" and moved over `destination`
+    by os.replace after the last chunk, so no reader sees a partial file.
+    If anything raises before then, the .tmp file is removed, an existing
+    destination keeps its old bytes, and the exception propagates.  A
+    reader that closes stdout early (`| head`) ends the output quietly:
+    stdout is pointed at os.devnull, so the flush at shutdown has nothing
+    to report, and emit returns normally.
+    """
+    chunks = [_render(rows, out_format, fieldnames)] if isinstance(rows, list) else rows
     if destination is None:
-        sys.stdout.write(data)
-    else:
-        tmp = str(destination) + ".tmp"
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return
+    tmp = str(destination) + ".tmp"
+    try:
         with open(tmp, "w", newline="") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, destination)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _write_checkpoint(path: str, fingerprint: str, last_n: int, accumulators):
@@ -157,18 +195,48 @@ def _read_checkpoint(path: str) -> dict:
 
 def _cmd_terms(cfg: RunConfig):
     spec = exactseq.RangeSpec(cfg.lo, cfg.hi, cfg.chunk)
+    spans = ((cfg.out_format, lo, hi) for lo, hi in spec.chunks())
+    texts = exactseq.ordered_map(_terms_text, spans, cfg.workers)
+    return _terms_chunks(cfg.out_format, texts), None
+
+
+def _terms_chunks(out_format: str, texts):
+    """The terms output as text chunks: the span texts inside a CSV header or a JSON array."""
+    if out_format == "csv":
+        yield "n,p,f,y,a,side\r\n"
+        yield from texts
+        return
+    yield "[\n"
+    yield next(texts)
+    for text in texts:
+        yield ",\n"
+        yield text
+    yield "\n]\n"
+
+
+def _terms_text(span: tuple) -> str:
+    """The terms rows of one (out_format, lo, hi) span as one string, straight from (f, d).
+
+    p = f^2 + d; below the half y = f and a = d, above it y = f + 1 and
+    a = 2f + 1 - d.  A CSV row is what csv.DictWriter writes for it: no
+    field needs quoting, and the line ends in CRLF.  JSON rows are the
+    array elements json.dump(rows, indent=2) writes, "n" a bare int and the
+    other fields strings, joined by a comma and a newline.  Module-level,
+    so a pool can pickle it.
+    """
+    out_format, lo, hi = span
+    is_csv = out_format == "csv"
+    below, above = exactseq.Side.BELOW_HALF.value, exactseq.Side.ABOVE_HALF.value
     rows = []
-    for block in exactseq.ordered_map(_terms_block, spec.chunks(), cfg.workers):
-        for t in block:
-            rows.append({
-                "n": t.n, "p": str(t.p), "f": str(t.f), "y": str(t.y),
-                "a": str(t.a), "side": t.side.value,
-            })
-    return rows, ["n", "p", "f", "y", "a", "side"]
-
-
-def _terms_block(block):
-    return exactseq.terms_block(*block)
+    for s, fs, ds in exactseq.fd_blocks(lo, hi):
+        for n, f, d, low in zip(range(s, hi + 1), fs.tolist(), ds.tolist(), (ds <= fs).tolist()):
+            y, a, side = (f, d, below) if low else (f + 1, 2 * f + 1 - d, above)
+            if is_csv:
+                rows.append(f"{n},{f * f + d},{f},{y},{a},{side}\r\n")
+            else:
+                rows.append(f'  {{\n    "n": {n},\n    "p": "{f * f + d}",\n    "f": "{f}",\n'
+                            f'    "y": "{y}",\n    "a": "{a}",\n    "side": "{side}"\n  }}')
+    return ("" if is_csv else ",\n").join(rows)
 
 
 def _moment_row(summary) -> dict:

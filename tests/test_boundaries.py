@@ -189,3 +189,26 @@ def test_self_check_failure_exits_cleanly(monkeypatch, capsys, module, name, arg
     captured = capsys.readouterr()
     assert captured.err == "error: self-check failed: forced failure\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["-m", "cannonball.cli", "terms", "--range", "1:600000"],
+    # output written after the early close must not fail at shutdown either
+    ["-c", "from cannonball import cli\n"
+           "status = cli.main(['terms', '--range', '1:600000'])\n"
+           "print('after the close')\n"
+           "raise SystemExit(status)\n"],
+], ids=["cli", "print_after"])
+def test_closed_stdout_is_a_quiet_exit(args):
+    # `terms ... | head -1`: the reader goes away while terms is still streaming
+    proc = subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, preexec_fn=_limit_memory, env=GUARD_ENV)
+    try:
+        assert proc.stdout.readline() == b"n,p,f,y,a,side\r\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=GUARD_SECONDS)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 0
+    assert err == b""

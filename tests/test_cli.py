@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from cannonball import cli
+from cannonball import exactseq as xs
 from cannonball import moments as mo
 from conftest import oracle_term
 
@@ -39,6 +41,100 @@ class TestTerms:
         rows = json.loads(out)
         assert rows == [{"n": 24, "p": "4900", "f": "70", "y": "70",
                          "a": "0", "side": "below"}]
+
+
+def terms_reference(lo, hi, out_format):
+    """The terms output as csv.DictWriter / json.dump write it for Term rows from stream_terms."""
+    rows = [{"n": t.n, "p": str(t.p), "f": str(t.f), "y": str(t.y), "a": str(t.a),
+             "side": t.side.value} for t in xs.stream_terms(xs.RangeSpec(lo, hi))]
+    buf = io.StringIO()
+    if out_format == "csv":
+        writer = csv.DictWriter(buf, fieldnames=["n", "p", "f", "y", "a", "side"])
+        writer.writeheader()
+        writer.writerows(rows)
+    else:
+        json.dump(rows, buf, indent=2)
+        buf.write("\n")
+    return buf.getvalue().encode()
+
+
+# P_n passes 2^64 between these two indices
+CROSS_2_64 = (3_809_000, 3_812_000)
+# the kernel's int64 path below FD_CAP, its object-array fallback above
+STRADDLE_FD_CAP = (xs.FD_CAP - 10, xs.FD_CAP + 10)
+
+
+class TestTermsStream:
+    """terms formats each (f, d) sub-block to text; its bytes are the Term-row writers' bytes."""
+
+    def test_crossing_points_are_where_the_ranges_say(self):
+        lo, hi = CROSS_2_64
+        assert xs.pyramidal(lo) < 2**64 < xs.pyramidal(hi)
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    @pytest.mark.parametrize("lo, hi", [
+        (1, 2 * xs.SUB_BLOCK + 5), (1, 24), (24, 24), (5, 5), (1, 1),
+        CROSS_2_64, STRADDLE_FD_CAP,
+    ], ids=["sub_blocks", "squares", "square_24", "one_row", "first_row", "cross_2_64",
+            "straddle_fd_cap"])
+    def test_bytes_equal_reference(self, tmp_path, lo, hi, out_format):
+        path = tmp_path / "t.out"
+        assert cli.main(["terms", "--range", f"{lo}:{hi}", "--out", out_format,
+                         "--output", str(path)]) == 0
+        assert path.read_bytes() == terms_reference(lo, hi, out_format)
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    @pytest.mark.parametrize("lo, hi", [(xs.SUB_BLOCK - 300, 2 * xs.SUB_BLOCK + 300),
+                                        STRADDLE_FD_CAP], ids=["sub_blocks", "straddle_fd_cap"])
+    def test_bytes_independent_of_workers_and_chunk(self, tmp_path, lo, hi, out_format):
+        want = terms_reference(lo, hi, out_format)
+        for workers in (1, 2):
+            for chunk in (1, 7, 4097, 65536):
+                path = tmp_path / f"t{workers}_{chunk}.out"
+                assert cli.main(["terms", "--range", f"{lo}:{hi}", "--out", out_format,
+                                 "--workers", str(workers), "--chunk", str(chunk),
+                                 "--output", str(path)]) == 0
+                assert path.read_bytes() == want, (workers, chunk)
+
+    def test_stdout_bytes_equal_reference(self, capsysbinary):
+        assert cli.main(["terms", "--range", "20:30", "--out", "json", "--chunk", "4"]) == 0
+        assert capsysbinary.readouterr().out == terms_reference(20, 30, "json")
+
+    def test_memory_flat_in_the_range(self, tmp_path):
+        # one span of text at a time, never the whole file: 1:50000 is a
+        # 2.5 MB file, a 1024-row span about 50 kB of text
+        bound = 1 << 20
+        path = tmp_path / "t.csv"
+        for hi in (5_000, 50_000):
+            tracemalloc.start()
+            try:
+                assert cli.main(["terms", "--range", f"1:{hi}", "--chunk", "1024",
+                                 "--output", str(path)]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (hi, peak)
+        assert path.stat().st_size > 2 * bound
+
+    def test_failure_mid_stream_leaves_no_partial_file(self, tmp_path, monkeypatch, capsys):
+        dest = tmp_path / "t.csv"
+        dest.write_bytes(b"old bytes")
+        spans = []
+        real = cli._terms_text
+
+        def fail_second(span):
+            spans.append(span)
+            if len(spans) == 2:
+                raise ValueError("forced failure")
+            return real(span)
+
+        monkeypatch.setattr(cli, "_terms_text", fail_second)
+        assert cli.main(["terms", "--range", "1:100", "--chunk", "10",
+                         "--output", str(dest)]) == 2
+        assert capsys.readouterr().err == "error: forced failure\n"
+        assert len(spans) == 2
+        assert dest.read_bytes() == b"old bytes"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
 
 
 class TestMoments:

@@ -42,6 +42,18 @@ CASES += [
     ("sandwich", "--x", "20000", "--k", "3", "--L", "2097152"),
     ("histogram", "--x", "100000", "--bins", "1048576"),
 ]
+# terms: both formats, shifted starts, a pool whose spans cut sub-blocks, the
+# index where P_n passes 2^64 (n = 3810778) and ranges straddling FD_CAP = 1e10
+CASES += [
+    ("terms", "--range", "1:150000"),
+    ("terms", "--range", "1:150000", "--out", "json"),
+    ("terms", "--range", "251:50250", "--out", "json"),
+    ("terms", "--range", "751:150750"),
+    ("terms", "--range", "751:150750", "--workers", "2", "--chunk", "4097"),
+    ("terms", "--range", "3809000:3812000", "--out", "json"),
+    ("terms", "--range", "9999999000:10000001000", "--workers", "2", "--chunk", "4097"),
+    ("terms", "--range", "9999999990:10000000010", "--out", "json", "--chunk", "7"),
+]
 
 
 def run_case(tree: Path, args, out: Path) -> tuple[int, bytes]:
