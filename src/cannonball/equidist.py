@@ -1,13 +1,16 @@
 """Exponential sums, discrepancy, and equidistribution diagnostics.
 
-Phases for e(m * sqrt(P_n)) come from the exact fixed-point fractional
-parts: the integer m*f part of m*sqrt(P_n) contributes nothing to e(.), so
-each phase is (m * mantissa) mod 2**bits scaled back to [0, 1).  Every
-mantissa is stored shifted left to fill 96 bits, as three 32-bit limbs in
-int64, so that product is reduced modulo 2**96 by one vectorized int64
-carry chain for every precision and every harmonic up to MAX_HARMONIC, and
-the only inexactness left is the documented fixed-point error plus one
-float rounding.
+Every point set is exact fixed point: a point x is the 96-bit word
+w = floor(2^96 x) held as three 32-bit limbs in int64, and a point of
+precision bits < 96 is the same word with its low 96 - bits bits cleared,
+since floor(2^bits x) = w >> (96 - bits).  So the points {sqrt(P_n)} of
+every precision are read from one table of 96-bit words.  Phases for
+e(m * sqrt(P_n)) come from those words: the integer m*f part of
+m*sqrt(P_n) contributes nothing to e(.), so each phase is (m * w) mod 2^96
+scaled back to [0, 1), reduced by one vectorized int64 carry chain for
+every precision and every harmonic up to MAX_HARMONIC, and the only
+inexactness left is the documented fixed-point error plus one float
+rounding.
 
 The star discrepancy is the exact sorted-points supremum for the given
 point set; D(N) follows the unnormalized convention (anchored-interval
@@ -26,7 +29,7 @@ import numpy as np
 from .exactseq import (DEFAULT_BITS, MAX_BINS, FixedFrac, check_bits, distance_bins, fd_blocks,
                        frac_mantissa, scan)
 
-_WIDTH = 96                 # exact points hold mantissa << (_WIDTH - bits)
+_WIDTH = 96                 # points hold mantissa << (_WIDTH - bits)
 _MASK32 = (1 << 32) - 1
 
 POINT_BLOCK = 1 << 15   # points per block of the exponential-sum engine
@@ -85,22 +88,30 @@ class HistogramResult:
 
 @dataclass(frozen=True)
 class PhasePoints:
-    """A point set in [0,1) with optional exact fixed-point limbs."""
+    """A point set in [0,1): point i is the 96-bit word in limbs[i] over 2^96.
 
-    values: np.ndarray            # float64 views of the points
+    limbs is (N, 3) int64, 32-bit limbs least significant first, holding
+    mantissa << (96 - bits) for a point known to `bits` bits.
+    """
+
+    limbs: np.ndarray
     bits: int
-    limbs: Optional[np.ndarray] = None  # (N, 3) int64: mantissa << (96 - bits)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.limbs)
 
     @property
-    def exact(self) -> bool:
-        return self.limbs is not None
+    def values(self) -> np.ndarray:
+        """The points as correctly rounded float64, computed on each access
+        one POINT_BLOCK at a time so the carry chain's temporaries stay small."""
+        out = np.empty(len(self.limbs))
+        for b in range(0, len(out), POINT_BLOCK):
+            out[b:b + POINT_BLOCK] = _limb_phases(self.limbs[b:b + POINT_BLOCK], 1)
+        return out
 
 
-# Incrementally grown tables of {sqrt(P_n)} per fixed-point precision.
-_tables: dict[int, dict] = {}
+# floor(2^96 {sqrt(P_n)}) for n = 1, 2, ...: one table, grown on demand, for every precision.
+_table = np.empty((0, 3), np.int64)
 
 
 def _limbs(words: list[int]) -> np.ndarray:
@@ -126,38 +137,59 @@ def _limb_phases(limbs: np.ndarray, m: int) -> np.ndarray:
     return hi48 * 2.0 ** -48 + lo48 * 2.0 ** -96
 
 
-def _ensure_table(n: int, bits: int) -> dict:
-    t = _tables.setdefault(bits, {"n": 0, "values": np.empty(0),
-                                  "limbs": np.empty((0, 3), np.int64)})
-    built = t["n"]
-    if built >= n:
-        return t
-    values = np.empty(n)
-    values[:built] = t["values"]
-    limbs = np.empty((n, 3), np.int64)
-    limbs[:built] = t["limbs"]
-    shift = _WIDTH - bits
-    for s, fs, ds in fd_blocks(built + 1, n):
-        blk = slice(s - 1, s - 1 + len(fs))
-        limbs[blk] = _limbs([frac_mantissa(f, d, bits) << shift
-                             for f, d in zip(fs.tolist(), ds.tolist())])
-        values[blk] = _limb_phases(limbs[blk], 1)
-    t.update(n=n, values=values, limbs=limbs)
-    return t
+def _float_limbs(x: np.ndarray) -> np.ndarray:
+    """Limbs of floor(2^96 x) for floats x in [0, 1).
+
+    Each step scales by 2^32, takes the floor as the next limb and keeps
+    the remainder; scaling by a power of two and subtracting the floor of a
+    float are exact, so the words are exact for x >= 2^-44 (whose last bit
+    weighs at least 2^-96) and smaller x are truncated below 2^-96.
+    """
+    if not np.all((x >= 0.0) & (x < 1.0)):
+        raise ValueError("points must lie in [0, 1)")
+    limbs = np.empty((len(x), 3), np.int64)
+    for j in (2, 1, 0):
+        x = x * 2.0 ** 32
+        limbs[:, j] = np.floor(x)
+        x = x - limbs[:, j]
+    return limbs
+
+
+def _ensure_table(n: int) -> np.ndarray:
+    global _table
+    built = len(_table)
+    if built < n:
+        limbs = np.empty((n, 3), np.int64)
+        limbs[:built] = _table
+        for s, fs, ds in fd_blocks(built + 1, n):
+            limbs[s - 1:s - 1 + len(fs)] = _limbs([frac_mantissa(f, d, _WIDTH)
+                                                   for f, d in zip(fs.tolist(), ds.tolist())])
+        _table = limbs
+    return _table
 
 
 def sqrt_frac_points(n: int, bits: int = DEFAULT_BITS, lo: int = 1) -> PhasePoints:
-    """{sqrt(P_i)} for lo <= i <= n, with exact mantissa limbs attached."""
+    """{sqrt(P_i)} for lo <= i <= n to `bits` bits, read from the one 96-bit table.
+
+    At 96 bits the limbs are a view of the table; below, a copy of the
+    slice with the low 96 - bits bits cleared.
+    """
     check_bits(bits)
     if lo < 1 or n < lo:
         raise ValueError("need 1 <= lo <= n")
-    t = _ensure_table(n, bits)
-    sl = slice(lo - 1, n)
-    return PhasePoints(t["values"][sl], bits, t["limbs"][sl])
+    limbs = _ensure_table(n)[lo - 1:n]
+    if bits < _WIDTH:
+        limbs = limbs & _limbs([(1 << _WIDTH) - (1 << (_WIDTH - bits))])
+    return PhasePoints(limbs, bits)
 
 
 def as_phase_points(points, bits: int = DEFAULT_BITS) -> PhasePoints:
-    """Coerce raw floats or FixedFrac values into a PhasePoints set."""
+    """Coerce raw floats or FixedFrac values into a PhasePoints set.
+
+    FixedFrac points keep their own precision.  Floats become exact 96-bit
+    points (see _float_limbs) whatever `bits` is, and a float outside
+    [0, 1), NaN included, raises ValueError.
+    """
     check_bits(bits)
     if isinstance(points, PhasePoints):
         return points
@@ -167,32 +199,26 @@ def as_phase_points(points, bits: int = DEFAULT_BITS) -> PhasePoints:
         if any(ff.bits != b for ff in seq):
             raise ValueError("mixed fixed-point precisions in one point set")
         check_bits(b)
-        limbs = _limbs([ff.mantissa << (_WIDTH - b) for ff in seq])
-        return PhasePoints(_limb_phases(limbs, 1), b, limbs)
-    return PhasePoints(np.asarray(seq, np.float64), bits)
+        return PhasePoints(_limbs([ff.mantissa << (_WIDTH - b) for ff in seq]), b)
+    return PhasePoints(_float_limbs(np.asarray(seq, np.float64)), _WIDTH)
 
 
-def _phase_fractions(pts: PhasePoints, m: int) -> np.ndarray:
-    """(m * x_n) mod 1 as float64, exactly reduced when limbs are present."""
-    if not pts.exact:
-        return np.mod(m * pts.values, 1.0)
-    return _limb_phases(pts.limbs, m)
+def _check_harmonic(name: str, m: int, bits: Optional[int] = None) -> None:
+    """|m| within the harmonic cap and, when bits is given, within the
+    fixed-point budget |m| 2^-bits < 1e-12.  name labels |m| in the cap
+    message ("|m|" for a signed harmonic) and, bars stripped, m itself in
+    the precision message."""
+    if abs(m) > MAX_HARMONIC:
+        raise ValueError(f"{name}={abs(m)} exceeds the harmonic cap {MAX_HARMONIC}")
+    if bits is not None and abs(m) * 2.0 ** -bits >= 1e-12:
+        needed = math.ceil(math.log2(abs(m) * 1e12))
+        raise PrecisionError(
+            f"{name.strip('|')}={m} needs at least {needed} fixed-point bits (have {bits})")
 
 
-def _slice_points(pts: PhasePoints, start: int, stop: int) -> PhasePoints:
-    s = slice(start, stop)
-    limbs = pts.limbs[s] if pts.exact else None
-    return PhasePoints(pts.values[s], pts.bits, limbs)
-
-
-def _check_harmonic_count(name: str, count: int) -> None:
-    if count > MAX_HARMONIC:
-        raise ValueError(f"{name}={count} exceeds the harmonic cap {MAX_HARMONIC}")
-
-
-def _rotations(pts: PhasePoints, m: int) -> np.ndarray:
+def _rotations(limbs: np.ndarray, m: int) -> np.ndarray:
     """e(m * x_n) for every point, evaluated directly from the reduced phase."""
-    t = (2.0 * np.pi) * _phase_fractions(pts, m)
+    t = (2.0 * np.pi) * _limb_phases(limbs, m)
     z = np.empty(len(t), np.complex128)
     np.cos(t, out=z.real)
     np.sin(t, out=z.imag)
@@ -222,10 +248,9 @@ def _harmonic_sums(pts: PhasePoints, ms: Sequence[int]) -> tuple[np.ndarray, np.
 
     Returns (sums, bounds) with |computed S_m - S_m| <= bounds[j], where S_m
     is the exact sum over the true points (the reals whose fixed-point
-    truncations are the limbs, or the float values themselves), and the
-    bound also covers the rounding of abs() of the computed sum.  With
-    u = 2^-53, and delta = 2^-bits for exact points (truncation of each
-    point) or u for float points (rounding of m*x):
+    truncations are the limbs), and the bound also covers the rounding of
+    abs() of the computed sum.  With u = 2^-53 and delta = 2^-bits, the
+    truncation of each point:
 
     * direct evaluation: the phase rounded to float (u) and the angle
       2*pi*phase (2u for np.pi and the product) move e() by 2*pi*3u, and
@@ -253,7 +278,7 @@ def _harmonic_sums(pts: PhasePoints, ms: Sequence[int]) -> tuple[np.ndarray, np.
     runs = list(_runs(ms))
     recur = any(r > 1 for _, r in runs)
     for b in range(0, n, POINT_BLOCK):
-        blk = _slice_points(pts, b, b + POINT_BLOCK)
+        blk = pts.limbs[b:b + POINT_BLOCK]
         step = _rotations(blk, 1) if recur else None
         for j, r in runs:
             z = _rotations(blk, ms[j])
@@ -264,7 +289,7 @@ def _harmonic_sums(pts: PhasePoints, ms: Sequence[int]) -> tuple[np.ndarray, np.
 
     u = 2.0 ** -53
     s5u = math.sqrt(5.0) * u
-    delta = 2.0 ** -pts.bits if pts.exact else u
+    delta = 2.0 ** -pts.bits
     eps_w = _EVAL_ERR + 2 * math.pi * delta
     rho = (1 + eps_w) * (1 + s5u)
     c = eps_w * (1 + s5u) + s5u
@@ -292,11 +317,7 @@ def exp_sum(lo: int, hi: int, m: int, bits: int = DEFAULT_BITS,
         raise ValueError("harmonic m must be nonzero")
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi")
-    _check_harmonic_count("|m|", abs(m))
-    if abs(m) * 2.0 ** -bits >= 1e-12:
-        needed = math.ceil(math.log2(abs(m) * 1e12))
-        raise PrecisionError(
-            f"m={m} needs at least {needed} fixed-point bits (have {bits})")
+    _check_harmonic("|m|", m, bits)
     sums, errs = _harmonic_sums(sqrt_frac_points(hi, bits, lo=lo), [m])
     s = complex(sums[0])
     bound = kn_bound(lo, hi, abs(m)) if (attach_bound and lo < hi) else None
@@ -357,12 +378,8 @@ def erdos_turan(points, K: int, bits: int = DEFAULT_BITS) -> DiscrepancyResult:
     """
     if K < 1:
         raise ValueError("truncation K must be >= 1")
-    _check_harmonic_count("K", K)
     pts = as_phase_points(points, bits)
-    if K * 2.0 ** -pts.bits >= 1e-12 and pts.exact:
-        needed = math.ceil(math.log2(K * 1e12))
-        raise PrecisionError(
-            f"K={K} needs at least {needed} fixed-point bits (have {pts.bits})")
+    _check_harmonic("K", K, pts.bits)
     base = star_discrepancy(pts)
     n = base.N
     sums, errs = _harmonic_sums(pts, range(1, K + 1))
@@ -381,7 +398,7 @@ def weyl_profile(N: int, m_max: int, bits: int = DEFAULT_BITS) -> list[tuple[int
     """|S_m(N)| / N for each harmonic m in [1, m_max]."""
     if N < 1 or m_max < 1:
         raise ValueError("need N >= 1 and m_max >= 1")
-    _check_harmonic_count("m_max", m_max)
+    _check_harmonic("m_max", m_max)
     sums, _ = _harmonic_sums(sqrt_frac_points(N, bits), range(1, m_max + 1))
     return [(m, abs(s) / N) for m, s in zip(range(1, m_max + 1), sums.tolist())]
 
@@ -415,10 +432,12 @@ def doubled_distance_points(x: int, bits: int = DEFAULT_BITS) -> PhasePoints:
     Used to control histogram deviations through the discrepancy of the
     doubled distances.  The below/above-half split is exact (top limb
     against 2^31); float values that round up to 1.0 are pulled one ulp
-    down since the true values are strictly below 1.
+    down since the true values are strictly below 1, and the floats are
+    then taken as exact 96-bit points (as_phase_points).
     """
     pts = sqrt_frac_points(x, bits)
+    values = pts.values
     below = pts.limbs[:, 2] < (1 << 31)
-    vals = np.where(below, 2.0 * pts.values, 2.0 * (1.0 - pts.values))
+    vals = np.where(below, 2.0 * values, 2.0 * (1.0 - values))
     vals[vals >= 1.0] = np.nextafter(1.0, 0.0)
-    return PhasePoints(vals, bits)
+    return as_phase_points(vals)

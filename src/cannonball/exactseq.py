@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
+from itertools import chain, islice
 from multiprocessing import get_context
 from typing import Iterator
 
@@ -236,16 +237,20 @@ def fd_blocks(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
 def ordered_map(fn, items, workers: int = 1) -> Iterator:
     """fn(item) for each item, in item order; a pool of up to `workers` processes runs them.
 
-    The pool is capped at the item count and the CPU count; results do not depend on its size.
+    items may be a generator: it is read lazily, so memory does not grow
+    with the item count.  The pool is capped at the item count (of the
+    first `workers` items peeked) and the CPU count; with one item it runs
+    in-process.  Results do not depend on the pool's size.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    items = list(items)
-    if workers > 1 and len(items) > 1:
-        with get_context().Pool(min(workers, len(items), os.cpu_count() or 1)) as pool:
-            yield from pool.imap(fn, items)
+    items = iter(items)
+    head = list(islice(items, workers))
+    if len(head) > 1:
+        with get_context().Pool(min(len(head), os.cpu_count() or 1)) as pool:
+            yield from pool.imap(fn, chain(head, items))
     else:
-        yield from map(fn, items)
+        yield from map(fn, chain(head, items))
 
 
 def scan(fn, hi: int, workers: int = 1, chunk: int = 1 << 16, marks=(), start_n: int = 1,
@@ -260,12 +265,13 @@ def scan(fn, hi: int, workers: int = 1, chunk: int = 1 << 16, marks=(), start_n:
     addition is meant.  fn is pickled into the pool, so it is a
     module-level function or a functools.partial of one.
 
-    [start_n, hi] is cut into spans of at most `chunk` indices, none of
-    which crosses a mark, and ordered_map folds each span in a pool of up
-    to `workers` processes.  The span totals are merged into the running
-    total by + in index order, starting from `init` (None: from the first
-    span), so `init`, the snapshot at each mark and the totals passed to
-    progress(last_n, total) after each merge are never mutated afterwards.
+    [start_n, hi] is cut lazily into spans of at most `chunk` indices,
+    none of which crosses a mark, so no list of spans is built, and
+    ordered_map folds each span in a pool of up to `workers` processes.
+    The span totals are merged into the running total by + in index
+    order, starting from `init` (None: from the first span), so `init`,
+    the snapshot at each mark and the totals passed to progress(last_n,
+    total) after each merge are never mutated afterwards.
     Exact components make the totals independent of workers and chunk.
     When start_n > hi nothing is left to scan, and the result is {hi: init}.
     """
@@ -274,12 +280,15 @@ def scan(fn, hi: int, workers: int = 1, chunk: int = 1 << 16, marks=(), start_n:
     stops = sorted(set(marks) | {hi})
     if stops[0] < start_n or stops[-1] > hi:
         raise ValueError(f"marks must lie in [{start_n}, {hi}]")
-    spans, lo = [], start_n
-    for stop in stops:
-        spans += RangeSpec(lo, stop, chunk).chunks()
-        lo = stop + 1
+
+    def spans():
+        lo = start_n
+        for stop in stops:
+            yield from RangeSpec(lo, stop, chunk).chunks()
+            lo = stop + 1
+
     total, out, want = init, {}, set(stops)
-    for (_, last), part in zip(spans, ordered_map(partial(_fold_span, fn), spans, workers)):
+    for (_, last), part in zip(spans(), ordered_map(partial(_fold_span, fn), spans(), workers)):
         total = part if total is None else tuple(t + p for t, p in zip(total, part))
         if last in want:
             out[last] = total

@@ -47,7 +47,7 @@ def pairwise_depth(n):
 
 
 def direct_sum(pts, m):
-    return complex(np.exp(2j * np.pi * eq._phase_fractions(pts, m)).sum())
+    return complex(np.exp(2j * np.pi * eq._limb_phases(pts.limbs, m)).sum())
 
 
 def engine(pts, ms, block=None):

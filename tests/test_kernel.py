@@ -239,3 +239,24 @@ class TestOrderedMap:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
             list(xs.ordered_map(abs, [1, 2], 0))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_items_read_lazily(self, workers):
+        """The first result arrives long before a generator of items is
+        exhausted, so no list of items is built (the pool reads a bounded
+        distance ahead)."""
+        drawn = []
+
+        def items(n=10**6):
+            for i in range(n):
+                drawn.append(i)
+                yield -i
+
+        results = xs.ordered_map(abs, items(), workers)
+        assert next(results) == 0
+        assert len(drawn) < 10**5
+        results.close()
+
+    def test_single_item_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(xs, "get_context", None)  # any pool would fail
+        assert list(xs.ordered_map(abs, iter([-3]), 2)) == [3]

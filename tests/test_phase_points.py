@@ -9,6 +9,7 @@ results as the table; and a cold table build stays within a per-index
 memory budget.
 """
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -49,7 +50,7 @@ def test_phase_reduction_is_bit_exact(case, m):
     want_values = np.array([exact_phase(v, 1, bits) for v in mants])
     want = np.array([exact_phase(v, m, bits) for v in mants])
     assert pts.values.tobytes() == want_values.tobytes()
-    assert eq._phase_fractions(pts, m).tobytes() == want.tobytes()
+    assert eq._limb_phases(pts.limbs, m).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bits", BITS)
@@ -59,7 +60,7 @@ def test_table_matches_frac_sqrt(bits):
     pts = eq.sqrt_frac_points(n, bits)
     for m in (1, -3, 2**15, -(2**20)):
         want = np.array([exact_phase(v, m, bits) for v in mants])
-        assert eq._phase_fractions(pts, m).tobytes() == want.tobytes()
+        assert eq._limb_phases(pts.limbs, m).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bits", [48, 96])
@@ -88,9 +89,9 @@ def test_fixedfrac_bits_outside_range_rejected():
 
 
 def test_cold_build_memory(monkeypatch):
-    """The table keeps 32 B per index (limbs and values); the build adds only
+    """The table keeps 24 B per index (the limbs); the build adds only
     per-sub-block transients."""
-    monkeypatch.setattr(eq, "_tables", {})
+    monkeypatch.setattr(eq, "_table", np.empty((0, 3), np.int64))
     n = 60000
     tracemalloc.start()
     try:
@@ -99,3 +100,80 @@ def test_cold_build_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 96 * n
+
+
+@pytest.mark.parametrize("order", [(48, 96), (96, 48)])
+def test_one_table_every_precision_bit_exact(monkeypatch, order):
+    """Each precision is the 96-bit table with its low bits cleared, equal bit
+    for bit to frac_sqrt whichever precision built the table first."""
+    monkeypatch.setattr(eq, "_table", np.empty((0, 3), np.int64))
+    n = 3000
+    for bits in (*order, *BITS):
+        want = eq._limbs([xs.frac_sqrt(i, bits).mantissa << (96 - bits)
+                          for i in range(1, n + 1)])
+        pts = eq.sqrt_frac_points(n, bits)
+        assert pts.bits == bits
+        assert pts.limbs.tobytes() == want.tobytes()
+
+
+def test_second_precision_builds_no_index(monkeypatch):
+    monkeypatch.setattr(eq, "_table", np.empty((0, 3), np.int64))
+    built = []
+    mantissa = eq.frac_mantissa
+
+    def counting(f, d, bits):
+        built.append(bits)
+        return mantissa(f, d, bits)
+
+    monkeypatch.setattr(eq, "frac_mantissa", counting)
+    eq.sqrt_frac_points(2000, 48)
+    assert built == [96] * 2000
+    for bits in BITS:
+        eq.sqrt_frac_points(2000, bits)
+        eq.sqrt_frac_points(1500, bits, lo=700)
+    assert len(built) == 2000
+    eq.sqrt_frac_points(2500, 40)
+    assert len(built) == 2500
+
+
+unit_floats = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(0.0, 2.0 ** -1000, allow_subnormal=True),
+    st.integers(1, 2**20).map(lambda k: 1.0 - k * 2.0 ** -53),
+    st.floats(2.0 ** -60, 2.0 ** -40))
+
+
+@given(values=st.lists(unit_floats, min_size=1, max_size=32))
+def test_float_points_are_floor_of_2_96_x(values):
+    pts = eq.as_phase_points(values)
+    assert pts.bits == 96
+    want = eq._limbs([math.floor(Fraction(v) * 2**96) for v in values])
+    assert pts.limbs.tobytes() == want.tobytes()
+
+
+@given(values=st.lists(st.floats(2.0 ** -44, 1.0, exclude_max=True), min_size=1, max_size=32))
+def test_float_points_keep_their_values(values):
+    assert eq.as_phase_points(values).values.tobytes() == np.array(values).tobytes()
+
+
+@pytest.mark.parametrize("bad", [-0.0 - 2.0 ** -1074, -1.0, 1.0, 1.5, math.inf, -math.inf,
+                                 math.nan])
+def test_float_points_outside_unit_interval_rejected(bad):
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        eq.as_phase_points([0.25, bad])
+
+
+def test_values_computed_per_block():
+    """.values allocates its output plus one POINT_BLOCK of carry-chain
+    temporaries; one call over all N points would need several N-long arrays."""
+    n = 1 << 19
+    rng = np.random.default_rng(3)
+    pts = eq.PhasePoints(rng.integers(0, 1 << 32, (n, 3), np.int64), 96)
+    tracemalloc.start()
+    try:
+        values = pts.values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.tobytes() == eq._limb_phases(pts.limbs, 1).tobytes()
+    assert peak < 16 * n

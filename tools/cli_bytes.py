@@ -42,6 +42,13 @@ CASES += [
     ("sandwich", "--x", "20000", "--k", "3", "--L", "2097152"),
     ("histogram", "--x", "100000", "--bins", "1048576"),
 ]
+# discrepancy, weyl and knbound: the fixed-point points at several precisions,
+# with and without the Erdos-Turan bound, and anchors past |m| = 32767
+CASES += [("discrepancy", "--x", str(x), *k, "--bits", bits)
+          for x in (1000, 150000) for k in ((), ("--K", "100")) for bits in ("96", "48")]
+CASES += [("discrepancy", "--x", "1000", "--K", "40000")]
+CASES += [("weyl", "--x", "150000", "--m-max", "20", "--bits", bits) for bits in ("96", "40", "32")]
+CASES += [("knbound", "--x", "150000", "--m-max", "5", "--bits", bits) for bits in ("96", "64")]
 # terms: both formats, shifted starts, a pool whose spans cut sub-blocks, the
 # index where P_n passes 2^64 (n = 3810778) and ranges straddling FD_CAP = 1e10
 CASES += [
