@@ -4,13 +4,14 @@ Every point set is exact fixed point: a point x is the 96-bit word
 w = floor(2^96 x) held as three 32-bit limbs in int64, and a point of
 precision bits < 96 is the same word with its low 96 - bits bits cleared,
 since floor(2^bits x) = w >> (96 - bits).  So the points {sqrt(P_n)} of
-every precision are read from one table of 96-bit words.  Phases for
-e(m * sqrt(P_n)) come from those words: the integer m*f part of
-m*sqrt(P_n) contributes nothing to e(.), so each phase is (m * w) mod 2^96
-scaled back to [0, 1), reduced by one vectorized int64 carry chain for
-every precision and every harmonic up to MAX_HARMONIC, and the only
-inexactness left is the documented fixed-point error plus one float
-rounding.
+every precision are views of one table of 96-bit words, built from the
+(f, d) kernel by exactseq._frac_words, and each reader clears the low bits
+one POINT_BLOCK at a time.  Phases for e(m * sqrt(P_n)) come from those
+words: the integer m*f part of m*sqrt(P_n) contributes nothing to e(.), so
+each phase is (m * w) mod 2^96 scaled back to [0, 1), reduced by one
+vectorized int64 carry chain for every precision and every harmonic up to
+MAX_HARMONIC, and the only inexactness left is the documented fixed-point
+error plus one float rounding.
 
 The star discrepancy is the exact sorted-points supremum for the given
 point set; D(N) follows the unnormalized convention (anchored-interval
@@ -26,8 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactseq import (DEFAULT_BITS, MAX_BINS, FixedFrac, check_bits, distance_bins, fd_blocks,
-                       frac_mantissa, scan)
+from .exactseq import (DEFAULT_BITS, MAX_BINS, FixedFrac, _frac_words, _limbs, check_bits,
+                       distance_bins, fd_blocks, scan)
 
 _WIDTH = 96                 # points hold mantissa << (_WIDTH - bits)
 _MASK32 = (1 << 32) - 1
@@ -88,36 +89,46 @@ class HistogramResult:
 
 @dataclass(frozen=True)
 class PhasePoints:
-    """A point set in [0,1): point i is the 96-bit word in limbs[i] over 2^96.
+    """A point set in [0,1) known to `bits` bits: point i is floor(2^bits x_i) / 2^bits.
 
-    limbs is (N, 3) int64, 32-bit limbs least significant first, holding
-    mantissa << (96 - bits) for a point known to `bits` bits.
+    words is (N, 3) int64, 32-bit limbs least significant first, of 96-bit
+    words whose top `bits` bits are floor(2^bits x_i); the bits below may be
+    set (a view of the one 96-bit table), and every reader clears them one
+    POINT_BLOCK at a time (block), so no precision copies the table.
     """
 
-    limbs: np.ndarray
+    words: np.ndarray
     bits: int
 
     def __len__(self) -> int:
-        return len(self.limbs)
+        return len(self.words)
+
+    def block(self, b: int) -> np.ndarray:
+        """The exact limbs, mantissa << (96 - bits), of points b to b + POINT_BLOCK - 1."""
+        return _exact(self.words[b:b + POINT_BLOCK], self.bits)
+
+    @property
+    def limbs(self) -> np.ndarray:
+        """The exact limbs of every point, computed on each access (a copy below 96 bits)."""
+        return _exact(self.words, self.bits)
 
     @property
     def values(self) -> np.ndarray:
         """The points as correctly rounded float64, computed on each access
         one POINT_BLOCK at a time so the carry chain's temporaries stay small."""
-        out = np.empty(len(self.limbs))
+        out = np.empty(len(self))
         for b in range(0, len(out), POINT_BLOCK):
-            out[b:b + POINT_BLOCK] = _limb_phases(self.limbs[b:b + POINT_BLOCK], 1)
+            out[b:b + POINT_BLOCK] = _limb_phases(self.block(b), 1)
         return out
+
+
+def _exact(words: np.ndarray, bits: int) -> np.ndarray:
+    """words with the low 96 - bits bits cleared: the words themselves at 96 bits."""
+    return words if bits == _WIDTH else words & _limbs([(1 << _WIDTH) - (1 << (_WIDTH - bits))])
 
 
 # floor(2^96 {sqrt(P_n)}) for n = 1, 2, ...: one table, grown on demand, for every precision.
 _table = np.empty((0, 3), np.int64)
-
-
-def _limbs(words: list[int]) -> np.ndarray:
-    """(len(words), 3) int64 array of 32-bit limbs, least significant first."""
-    buf = b"".join([w.to_bytes(12, "little") for w in words])
-    return np.frombuffer(buf, "<u4").reshape(-1, 3).astype(np.int64)
 
 
 def _limb_phases(limbs: np.ndarray, m: int) -> np.ndarray:
@@ -162,25 +173,17 @@ def _ensure_table(n: int) -> np.ndarray:
         limbs = np.empty((n, 3), np.int64)
         limbs[:built] = _table
         for s, fs, ds in fd_blocks(built + 1, n):
-            limbs[s - 1:s - 1 + len(fs)] = _limbs([frac_mantissa(f, d, _WIDTH)
-                                                   for f, d in zip(fs.tolist(), ds.tolist())])
+            limbs[s - 1:s - 1 + len(fs)] = _frac_words(fs, ds)[0]
         _table = limbs
     return _table
 
 
 def sqrt_frac_points(n: int, bits: int = DEFAULT_BITS, lo: int = 1) -> PhasePoints:
-    """{sqrt(P_i)} for lo <= i <= n to `bits` bits, read from the one 96-bit table.
-
-    At 96 bits the limbs are a view of the table; below, a copy of the
-    slice with the low 96 - bits bits cleared.
-    """
+    """{sqrt(P_i)} for lo <= i <= n to `bits` bits: a view of the one 96-bit table."""
     check_bits(bits)
     if lo < 1 or n < lo:
         raise ValueError("need 1 <= lo <= n")
-    limbs = _ensure_table(n)[lo - 1:n]
-    if bits < _WIDTH:
-        limbs = limbs & _limbs([(1 << _WIDTH) - (1 << (_WIDTH - bits))])
-    return PhasePoints(limbs, bits)
+    return PhasePoints(_ensure_table(n)[lo - 1:n], bits)
 
 
 def as_phase_points(points, bits: int = DEFAULT_BITS) -> PhasePoints:
@@ -278,7 +281,7 @@ def _harmonic_sums(pts: PhasePoints, ms: Sequence[int]) -> tuple[np.ndarray, np.
     runs = list(_runs(ms))
     recur = any(r > 1 for _, r in runs)
     for b in range(0, n, POINT_BLOCK):
-        blk = pts.limbs[b:b + POINT_BLOCK]
+        blk = pts.block(b)
         step = _rotations(blk, 1) if recur else None
         for j, r in runs:
             z = _rotations(blk, ms[j])
@@ -417,13 +420,39 @@ def half_distance_histogram(x: int, bins: int, *, workers: int = 1,
         raise ValueError("x must be >= 1")
     if not 2 <= bins <= MAX_BINS:
         raise ValueError(f"bins must be in [2, {MAX_BINS}], got {bins}")
-    counts, flagged = scan(partial(_histogram_part, bins), x, workers, chunk)[x]
-    return HistogramResult(x, bins, tuple(counts[1:].tolist()), flagged)
+    hits, flagged = scan(partial(_histogram_part, bins), x, workers, chunk)[x]
+    return HistogramResult(x, bins, tuple(hits.dense()[1:].tolist()), flagged)
 
 
-def _histogram_part(bins: int, s: int, f: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, int]:
-    counts = np.bincount(distance_bins(f, d, 2 * bins), minlength=bins + 1)
-    return counts, int(np.count_nonzero(d == 0))
+class _BinHits:
+    """Histogram counts as a scan component whose cost follows the indices, not the bins.
+
+    A sub-block's part holds its bins j.  The first += within a span makes
+    one dense array of `size` counts and every += adds a part's bins into
+    it with np.add.at, so a sub-block costs its length whatever the bin
+    count; + merges two spans' dense arrays into a new one.
+    """
+
+    def __init__(self, size: int, j: Optional[np.ndarray] = None,
+                 counts: Optional[np.ndarray] = None):
+        self.size, self.j, self.counts = size, j, counts
+
+    def dense(self) -> np.ndarray:
+        if self.counts is None:
+            self.counts = np.zeros(self.size, np.int64)
+            np.add.at(self.counts, self.j, 1)
+        return self.counts
+
+    def __iadd__(self, part: _BinHits) -> _BinHits:
+        np.add.at(self.dense(), part.j, 1)
+        return self
+
+    def __add__(self, other: _BinHits) -> _BinHits:
+        return _BinHits(self.size, counts=self.dense() + other.dense())
+
+
+def _histogram_part(bins: int, s: int, f: np.ndarray, d: np.ndarray) -> tuple[_BinHits, int]:
+    return _BinHits(bins + 1, distance_bins(f, d, 2 * bins)), int(np.count_nonzero(d == 0))
 
 
 def doubled_distance_points(x: int, bits: int = DEFAULT_BITS) -> PhasePoints:
@@ -437,7 +466,7 @@ def doubled_distance_points(x: int, bits: int = DEFAULT_BITS) -> PhasePoints:
     """
     pts = sqrt_frac_points(x, bits)
     values = pts.values
-    below = pts.limbs[:, 2] < (1 << 31)
+    below = pts.words[:, 2] < (1 << 31)  # bits >= 32 never clears the top limb
     vals = np.where(below, 2.0 * values, 2.0 * (1.0 - values))
     vals[vals >= 1.0] = np.nextafter(1.0, 0.0)
     return as_phase_points(vals)

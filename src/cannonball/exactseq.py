@@ -3,9 +3,13 @@
 Everything in this module is decided by integer comparisons: no floating
 point result ever determines a classification.  The only floats are the
 distance estimate _distances, whose one certified error bound sets the
-tolerance of every prefilter built on it (distance_bins, near_half_count),
-and the starting root estimate of the vector (f, d) kernel, block_fd, whose
-every result is then proved by an integer check.
+tolerance of every prefilter built on it (distance_bins, near_half_count);
+the double-word distance _signed_delta, within 16u^2 of the distance
+relatively (u = 2^-53), from which _frac_words splits the exact 96-bit
+fractional-part words of a sub-block and leaves to frac_mantissa the
+indices within 2^-7 of a limb boundary, the band that bound gives; and the
+starting root estimate of the vector (f, d) kernel, block_fd, whose every
+result is then proved by an integer check.
 
 Conventions used throughout:
 
@@ -22,6 +26,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -38,6 +43,7 @@ SUB_BLOCK = 1 << 12  # indices per kernel call, which bounds its transient array
 # largest histogram bin count, which sizes the histogram's one bin array; it
 # also caps the sandwich's L/2, as input validation far below distance_bins' L < 2^53
 MAX_BINS = 1 << 20
+POOL_WINDOW = 4      # outstanding tasks per pool process in ordered_map
 
 
 class Side(Enum):
@@ -240,15 +246,24 @@ def ordered_map(fn, items, workers: int = 1) -> Iterator:
     items may be a generator: it is read lazily, so memory does not grow
     with the item count.  The pool is capped at the item count (of the
     first `workers` items peeked) and the CPU count; with one item it runs
-    in-process.  Results do not depend on the pool's size.
+    in-process.  At most POOL_WINDOW tasks per process are outstanding, so
+    a slow consumer holds back the items drawn instead of letting finished
+    results pile up.  Results do not depend on the pool's size.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     items = iter(items)
     head = list(islice(items, workers))
     if len(head) > 1:
-        with get_context().Pool(min(len(head), os.cpu_count() or 1)) as pool:
-            yield from pool.imap(fn, chain(head, items))
+        processes = min(len(head), os.cpu_count() or 1)
+        with get_context().Pool(processes) as pool:
+            pending = deque()
+            for item in chain(head, items):
+                pending.append(pool.apply_async(fn, (item,)))
+                if len(pending) == POOL_WINDOW * processes:
+                    yield pending.popleft().get()
+            while pending:
+                yield pending.popleft().get()
     else:
         yield from map(fn, chain(head, items))
 
@@ -334,6 +349,152 @@ def frac_mantissa(f: int, d: int, bits: int) -> int:
     part 2**bits * f leaves the floor of the scaled fractional part.
     """
     return math.isqrt((f * f + d) << (2 * bits)) - (f << bits)
+
+
+def _limbs(words: list[int]) -> np.ndarray:
+    """(len(words), 3) int64 array of the 32-bit limbs of 96-bit words, least significant first."""
+    buf = b"".join([w.to_bytes(12, "little") for w in words])
+    return np.frombuffer(buf, "<u4").reshape(-1, 3).astype(np.int64)
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _fast_two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly, for |a| >= |b| (Dekker)."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def _split(a):
+    """Veltkamp's split of a into two halves of at most 26 significant bits each."""
+    g = 134217729.0 * a  # 2^27 + 1
+    hi = g - (g - a)
+    return hi, a - hi
+
+
+def _two_square(a):
+    """_two_prod(a, a) with one split: ah * al doubled is exact, so one addition replaces two."""
+    p = a * a
+    ah, al = _split(a)
+    return p, ((ah * ah - p) + 2.0 * ah * al) + al * al
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(a * b) and p + e = a * b exactly (Dekker; no fma needed)."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+_WORD_F = 1 << 50       # f below this keeps f, d, y and a exact doubles; see _signed_delta
+_WORD_BAND = 2.0 ** -7  # leftover fractions _frac_words leaves to frac_mantissa
+
+
+def _signed_delta(f: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a / (y + sqrt(p)) for p = f^2 + d as a double word (hi, lo), within 16u^2 of it relatively.
+
+    f and d are int64 with 0 <= d <= 2f and 1 <= f < 2^50, so f, d, the
+    nearest root y and a = p - y^2 (negative above the half) are exact
+    doubles; the value is {sqrt(p)} below the half and {sqrt(p)} - 1 above
+    it, so |value| = delta = |sqrt(p) - y| (_distances).  A double word is
+    an unevaluated sum hi + lo with |lo| <= ulp(hi) / 2.  With u = 2^-53 and
+    s = sqrt(p), every step is exact (Knuth's two_sum, Dekker's fast_two_sum
+    and two_prod with Veltkamp's split, Numer. Math. 18, 1971) or rounds
+    once, by a factor 1 + t with |t| <= u:
+
+    * p = ph + pl exactly: f^2 by _two_square, plus d, whose sum with the
+      low part (integers below 2^52) is exact, then two_sum;
+    * s0 = fl(sqrt(ph)) is within 1.5u s, and one Newton step
+      s0 + r / (2 s0) on r = p - s0^2 would leave (s0 - s)^2 / (2 s0) <=
+      1.13u^2 s.  With s0^2 = qh + ql by _two_square, ph - qh is exact
+      (Sterbenz), pl - ql rounds by at most u * 2u p and the sum by
+      u * 3u p, so r is within 5u^2 p; dividing by 2 s0 adds 1.5u^2 s: the
+      corrected root is within (1.13 + 2.5 + 1.5)u^2 s = 5.13u^2 s of s;
+    * D = y + s: two_sum(y, s0) is exact, its low part (at most uD) takes
+      the correction in one rounding, u(uD + 1.5us), and fast_two_sum
+      renormalizes: with s < D, D' = Dh + Dl is within 7.7u^2 D of D;
+    * a / D' by one corrected division: q1 = fl(a / Dh); with
+      q1 Dh = m1 + m2 by two_prod, a - m1 is exact (Sterbenz); the
+      remainder a - q1 D' (at most 2u|a|) is formed with three roundings,
+      u^2|a| + u^2|a| + 2u^2|a|, and q2 = fl(remainder / Dh) adds 2u^2|a| / D'
+      for dividing by Dh instead of D' and 2u^2|a| / D' for its rounding:
+      q1 + q2 is within 8u^2 |a| / D' of a / D'.
+
+    With the 7.7u^2 of D', hi + lo is within 15.7u^2 delta of the value,
+    below 16u^2 delta with the second-order terms dropped above.
+    """
+    above = d > f
+    ff = f.astype(np.float64)
+    y = ff + above
+    a = (d - above * (2 * f + 1)).astype(np.float64)
+    sq, sql = _two_square(ff)
+    ph, pl = _two_sum(sq, sql + d)
+    s0 = np.sqrt(ph)
+    qh, ql = _two_square(s0)
+    th, tl = _two_sum(y, s0)
+    dh, dl = _fast_two_sum(th, tl + ((ph - qh) + (pl - ql)) / (2.0 * s0))
+    q1 = a / dh
+    m1, m2 = _two_prod(q1, dh)
+    return _fast_two_sum(q1, (((a - m1) - m2) - q1 * dl) / dh)
+
+
+def _frac_words(f: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, int]:
+    """The words W = floor(2^96 {sqrt(p)}) of p = f^2 + d as (n, 3) int64 limbs; the fallback count.
+
+    For a kernel (f, d) sub-block, X = 2^96 (hi + lo) from _signed_delta
+    is within 16u^2 2^96 delta < 2^-7 (delta < 1/2) of 2^96 v, v being
+    {sqrt(p)} below the half and {sqrt(p)} - 1 above it, so
+    W = floor(2^96 v) mod 2^96.  X splits exactly into limbs: three times,
+    (hi, lo) is scaled by 2^32 (exact), k = rint(hi) is the limb, hi - k is
+    kept (exact: Sterbenz, or hi itself when |hi| < 1/2) and two_sum
+    renormalizes, so X = k2 2^64 + k1 2^32 + k0 + rho exactly, with
+    |rho| <= 1/2 + 2^-22 and rho's sign that of the last hi.  When
+    |rho| > 2^-7 no integer lies between X and 2^96 v, so floor(2^96 v) =
+    k2 2^64 + k1 2^32 + k0 - [rho < 0], reduced mod 2^96 by one int64 carry
+    chain; 2^96 v is irrational unless d = 0, so above the half this is
+    2^96 - 1 - floor(2^96 delta), the limb complement.
+
+    The fallback is frac_mantissa: for |hi| <= _WORD_BAND = 2^-7 (hi is
+    rho within u|rho|, and 15.7u^2 2^95 is 0.98 * 2^-7), the indices whose
+    leftover fraction lies near a limb boundary, about 2^-6 of them, and
+    d = 0 (rho = 0); and, whole, object blocks past FD_CAP and any block
+    with f >= 2^50.
+    """
+    n = len(f)
+    if f.dtype == object or (n and f.max() >= _WORD_F):
+        return _limbs([frac_mantissa(a, b, 96) for a, b in zip(f.tolist(), d.tolist())]), n
+    hi, lo = _signed_delta(f, d)
+    k = []  # k2, k1, k0
+    for _ in range(3):
+        hi, lo = hi * 2.0 ** 32, lo * 2.0 ** 32
+        r = np.rint(hi)
+        k.append(r.astype(np.int64))
+        hi, lo = _two_sum(hi - r, lo)
+    words = np.empty((n, 3), np.int64)
+    carry = -(hi < 0).astype(np.int64)  # floor(rho)
+    for j, limb in enumerate(reversed(k)):
+        c = limb + carry
+        words[:, j] = c & 0xFFFFFFFF
+        carry = c >> 32
+    idx = np.flatnonzero(np.abs(hi) <= _WORD_BAND)
+    if len(idx):
+        words[idx] = _limbs([frac_mantissa(a, b, 96) for a, b in zip(f[idx].tolist(),
+                                                                    d[idx].tolist())])
+    return words, len(idx)
+
+
+def _mantissas(words: np.ndarray, bits: int) -> list[int]:
+    """floor(2^bits x) = w >> (96 - bits) for each 96-bit word w = floor(2^96 x), as Python ints."""
+    if bits <= 64:
+        top = (words[:, 2].astype(np.uint64) << np.uint64(32)) | words[:, 1].astype(np.uint64)
+        return (top >> np.uint64(64 - bits)).tolist()
+    return [((w2 << 64) | (w1 << 32) | w0) >> (96 - bits) for w0, w1, w2 in words.tolist()]
 
 
 def _distances(f: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -470,7 +631,8 @@ def near_half_count(x: int, bits: int = DEFAULT_BITS, *, workers: int = 1,
     every margin, otherwise.  So keeping the indices whose computed margin
     is at most that sum keeps every index the window or the flag zone can
     hold.  The prefilter runs as vector compares on each (f, d) sub-block;
-    only the survivors take the exact fixed-point path.
+    only the survivors take the exact fixed-point path, their mantissas
+    read from the _frac_words words.
     """
     if x < 1:
         raise ValueError("scan bound must be >= 1")
@@ -486,8 +648,11 @@ def _near_half_part(bits: int, t_int: int, s: int, f: np.ndarray,
     cutoff = (t_int + 4) / (1 << bits) + 2.0 ** -50
     count = borderline = 0
     # perfect squares (d = 0) are excluded from the window
-    for i in np.flatnonzero((d != 0) & (0.5 - _distances(f, d) <= cutoff)).tolist():
-        m = abs(frac_mantissa(int(f[i]), int(d[i]), bits) - half)
+    idx = np.flatnonzero((d != 0) & (0.5 - _distances(f, d) <= cutoff))
+    if not len(idx):
+        return 0, 0
+    for w in _mantissas(_frac_words(f[idx], d[idx])[0], bits):
+        m = abs(w - half)
         if abs(m - t_int) <= 2:
             borderline += 1
         elif m < t_int:

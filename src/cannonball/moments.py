@@ -23,7 +23,7 @@ from itertools import repeat
 import mpmath as mp
 import numpy as np
 
-from .exactseq import MAX_BINS, distance_bins, scan
+from .exactseq import MAX_BINS, _frac_words, _mantissas, check_bits, distance_bins, scan
 
 K_MAX = 12          # accumulator cap; configurable but bounded on purpose
 WORK_PREC = 256     # binary precision for main terms and residuals
@@ -172,11 +172,14 @@ def sandwich(x: int, k: int, L: int, bits: int = SANDWICH_BITS, *, workers: int 
     the bounds are exact rationals bracketing the exact integer moment,
     which the same scan sums from the same (f, d) sub-blocks.  Zero-distance
     terms (perfect squares) contribute zero to the moment and are omitted
-    from both bounds.
+    from both bounds.  t_n = 2^bits (f_n + y_n) + (W_n >> (96 - bits)) from
+    the 96-bit words W_n = floor(2^96 {sqrt(P_n)}) of exactseq._frac_words,
+    so bits lies in [32, 96] (check_bits).
     """
     if x < 1:
         raise ValueError("x must be >= 1")
     _check_k(k)
+    check_bits(bits)
     if L < 2 or L % 2 != 0:
         raise ValueError(f"bin count L={L} must be a positive even integer")
     if L // 2 > MAX_BINS:
@@ -193,10 +196,12 @@ def _sandwich_part(k: int, L: int, bits: int, s: int, fs: np.ndarray,
                    ds: np.ndarray) -> tuple[int, int, int]:
     """The sandwich's lower and upper numerators and M_k over one (f, d) sub-block."""
     lower = upper = 0
-    for f, d, j in zip(fs.tolist(), ds.tolist(), distance_bins(fs, ds, L).tolist()):
+    # floor(2^bits (sqrt(p) + y)) = 2^bits (f + y) + floor(2^bits {sqrt(p)})
+    fy = (2 * fs + (ds > fs)).tolist()
+    mants = _mantissas(_frac_words(fs, ds)[0], bits)
+    for d, j, g, m in zip(ds.tolist(), distance_bins(fs, ds, L).tolist(), fy, mants):
         if d:  # perfect squares (d = 0) are omitted
-            # floor(2^bits (sqrt(p) + y)) = floor(2^bits sqrt(p)) + 2^bits y
-            t = math.isqrt((f * f + d) << (2 * bits)) + ((f if d <= f else f + 1) << bits)
+            t = (g << bits) + m
             lower += ((j - 1) * t) ** k
             upper += (j * (t + 1)) ** k
     return lower, upper, _power_sums_part((k,), s, fs, ds)[0]

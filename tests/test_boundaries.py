@@ -159,8 +159,9 @@ def test_pool_capped_at_cpu_count(monkeypatch, tmp_path):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, fn, items):
-            return map(fn, items)
+        def apply_async(self, fn, args):
+            result = fn(*args)
+            return type("Done", (), {"get": lambda self: result})()
 
     class FakeContext:
         Pool = FakePool

@@ -128,6 +128,17 @@ def reference_near_half(x, bits):
     return count, borderline
 
 
+@pytest.mark.parametrize("bits", [32, 48, 64, 65, 96])
+def test_near_half_object_blocks_match_kernel_blocks(bits):
+    # past FD_CAP sub-blocks are object arrays of Python ints
+    x = 3000
+    t_int = math.isqrt(math.isqrt((1 << (4 * bits)) // (x * x * x)))
+    f, d = xs.block_fd(1, x)
+    want = xs._near_half_part(bits, t_int, 1, f, d)
+    assert want[0] > 0
+    assert xs._near_half_part(bits, t_int, 1, f.astype(object), d.astype(object)) == want
+
+
 @pytest.mark.parametrize("bits", [32, 48, 96])
 @pytest.mark.parametrize("x", [1, 24, xs.SUB_BLOCK + 1, 47_109])
 def test_near_half_count_matches_scalar_reference(x, bits):

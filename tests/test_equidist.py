@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,26 @@ class TestHistogram:
         d2 = eq.star_discrepancy(eq.doubled_distance_points(x))
         max_dev = max(abs(c / x - 1 / bins) for c in h.counts)
         assert max_dev <= 2 * d2.d_star + h.flagged / x
+
+    def test_sub_block_part_holds_its_bins_only(self):
+        """At the largest bin count a sub-block's part is its bin indices, not
+        a dense array of MAX_BINS + 1 counts (8 MB)."""
+        f, d = xs.block_fd(1, xs.SUB_BLOCK)
+        tracemalloc.start()
+        try:
+            eq._histogram_part(xs.MAX_BINS, 1, f, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_largest_bin_count_any_chunk_and_workers(self):
+        x, bins = 3 * xs.SUB_BLOCK + 5, xs.MAX_BINS
+        f, d = xs.block_fd(1, x)
+        want = np.bincount(xs.distance_bins(f, d, 2 * bins), minlength=bins + 1)[1:].tolist()
+        for chunk, workers in ((x, 1), (5000, 1), (xs.SUB_BLOCK, 2), (1000, 1)):
+            h = eq.half_distance_histogram(x, bins, workers=workers, chunk=chunk)
+            assert list(h.counts) == want and h.flagged == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):

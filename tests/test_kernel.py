@@ -7,6 +7,7 @@ chunk boundaries, the P_n > 2^64 crossing, and the cap itself.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -256,6 +257,24 @@ class TestOrderedMap:
         assert next(results) == 0
         assert len(drawn) < 10**5
         results.close()
+
+    def test_slow_consumer_holds_back_the_items(self):
+        """With a consumer slower than the pool, at most POOL_WINDOW tasks per
+        process are outstanding: the items drawn stay within that window of
+        the results consumed instead of running ahead of them."""
+        drawn = []
+
+        def items():
+            for i in range(200):
+                drawn.append(i)
+                yield -i
+
+        ahead = []
+        for consumed, result in enumerate(xs.ordered_map(abs, items(), 2), 1):
+            assert result == consumed - 1
+            ahead.append(len(drawn) - consumed)
+            time.sleep(0.002)
+        assert max(ahead) < 2 * xs.POOL_WINDOW
 
     def test_single_item_runs_in_process(self, monkeypatch):
         monkeypatch.setattr(xs, "get_context", None)  # any pool would fail

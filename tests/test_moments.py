@@ -159,6 +159,23 @@ class TestSandwich:
         assert (r.lower, r.upper) == per_bin_sandwich(x, k, L)
         assert r.exact == oracle_moment(x, k)
 
+    @pytest.mark.parametrize("bits", [32, 48, 96])
+    def test_other_weight_precisions_match_reference(self, bits):
+        r = mo.sandwich(3000, 2, 10, bits)
+        assert (r.lower, r.upper) == per_bin_sandwich(3000, 2, 10, bits)
+
+    @pytest.mark.parametrize("bits", [31, 97])
+    def test_weight_precision_outside_range_rejected(self, bits):
+        with pytest.raises(ValueError, match="bits"):
+            mo.sandwich(100, 1, 10, bits)
+
+    def test_object_blocks_match_kernel_blocks(self):
+        # past FD_CAP sub-blocks are object arrays of Python ints
+        f, d = xs.block_fd(2000, 2300)
+        for bits in (32, 64, 96):
+            want = mo._sandwich_part(3, 100, bits, 2000, f, d)
+            assert mo._sandwich_part(3, 100, bits, 2000, f.astype(object), d.astype(object)) == want
+
     def test_memory_does_not_grow_with_L(self):
         tracemalloc.start()
         try:

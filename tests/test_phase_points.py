@@ -102,6 +102,24 @@ def test_cold_build_memory(monkeypatch):
     assert peak < 96 * n
 
 
+def test_lower_precision_is_a_view(monkeypatch):
+    """A cold sqrt_frac_points(n, 48) allocates no more than the 96-bit call:
+    every precision is a view of the table, and its readers clear the low
+    bits one POINT_BLOCK at a time (a masked copy would add 24 B per index)."""
+    n = 60000
+    peaks = {}
+    for bits in (96, 48):
+        monkeypatch.setattr(eq, "_table", np.empty((0, 3), np.int64))
+        tracemalloc.start()
+        try:
+            pts = eq.sqrt_frac_points(n, bits)
+            peaks[bits] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(pts.words, eq._table)
+    assert peaks[48] <= peaks[96]
+
+
 @pytest.mark.parametrize("order", [(48, 96), (96, 48)])
 def test_one_table_every_precision_bit_exact(monkeypatch, order):
     """Each precision is the 96-bit table with its low bits cleared, equal bit
@@ -117,23 +135,24 @@ def test_one_table_every_precision_bit_exact(monkeypatch, order):
 
 
 def test_second_precision_builds_no_index(monkeypatch):
+    """The table's words come from the (f, d) kernel: count the indices it is asked for."""
     monkeypatch.setattr(eq, "_table", np.empty((0, 3), np.int64))
     built = []
-    mantissa = eq.frac_mantissa
+    words = eq._frac_words
 
-    def counting(f, d, bits):
-        built.append(bits)
-        return mantissa(f, d, bits)
+    def counting(f, d):
+        built.append(len(f))
+        return words(f, d)
 
-    monkeypatch.setattr(eq, "frac_mantissa", counting)
+    monkeypatch.setattr(eq, "_frac_words", counting)
     eq.sqrt_frac_points(2000, 48)
-    assert built == [96] * 2000
+    assert sum(built) == 2000
     for bits in BITS:
         eq.sqrt_frac_points(2000, bits)
         eq.sqrt_frac_points(1500, bits, lo=700)
-    assert len(built) == 2000
+    assert sum(built) == 2000
     eq.sqrt_frac_points(2500, 40)
-    assert len(built) == 2500
+    assert sum(built) == 2500
 
 
 unit_floats = st.one_of(
