@@ -1,15 +1,19 @@
 """Exact moments of the nearest-square distance sequence and their asymptotics.
 
 M_k(x) = sum of a_n^k over n <= x is accumulated as a Python integer, so
-every reported moment is exact.  Main terms are evaluated with mpmath at
-WORK_PREC bits; residuals are exact-minus-main at that precision.
+every reported moment is exact.  Within a kernel (f, d) sub-block the sums
+at k <= 3 are exact int64 column sums of fixed-width limb products
+(_limb_power_sum); at k >= 4, and on object blocks past FD_CAP, they are
+Python-int powers.  Main terms are evaluated with mpmath at WORK_PREC bits;
+residuals are exact-minus-main at that precision.
 
 The sandwich bounds bracket M_k(x) rigorously: a_n = delta_n (sqrt(P_n) + y_n),
 delta_n lies in the distance bin j_n and the weight sqrt(P_n) + y_n between
 fixed-point values, so both bounds are exact integer sums over n divided by
 one integer, and `lower <= exact <= upper` is an integer-arithmetic fact,
 not an approximation.  No per-bin sums are kept: weighting the per-bin sums
-of t_n^k by j^k gives the same integer as summing (j_n t_n)^k per index.
+of t_n^k by j^k gives the same integer as summing (j_n t_n)^k per index,
+which at k = 1, 2 is again an int64 limb sum.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
+from itertools import combinations_with_replacement, repeat
 
 import mpmath as mp
 import numpy as np
@@ -72,14 +76,52 @@ class FitReport:
     intercept: float
 
 
+def _limb_power_sum(cols, w: int, k: int) -> int:
+    """Exact sum of v^k, k in {1, 2, 3}, for v = sum_i cols[i] 2^(w i) given as int64 limb columns.
+
+    v^k is the sum of the products of k limbs.  Each distinct product, a
+    multiset of limb indices, is summed once as an int64 column, and only
+    then weighted in Python ints by its multiplicity (the multinomial
+    coefficient) and by 2^(w * its index sum).  Callers bound every
+    column sum below 2^63.
+    """
+    total = 0
+    for combo in combinations_with_replacement(range(len(cols)), k):
+        prod = cols[combo[0]]
+        for i in combo[1:]:
+            prod = prod * cols[i]
+        times = math.factorial(k) // math.prod(math.factorial(combo.count(i)) for i in set(combo))
+        total += times * int(prod.sum()) << (w * sum(combo))
+    return total
+
+
 def _power_sums_part(ks, s: int, f: np.ndarray, d: np.ndarray) -> tuple[int, ...]:
-    """Exact sums of a^k for each k in ks over one (f, d) sub-block."""
+    """Exact sums of a^k for each k in ks over one (f, d) sub-block.
+
+    On the kernel path a <= f < 2^50 below FD_CAP and a sub-block holds at
+    most 2^12 terms, so every int64 column sum is exact:
+
+    * k = 1: a.sum() < 2^50 2^12 = 2^62;
+    * k = 2: two 25-bit limbs, each product of two below 2^50, so each of
+      the 3 distinct column sums stays below 2^62;
+    * k = 3: three 17-bit limbs (a < 2^51), each product of three below
+      2^51, so each of the 10 distinct column sums stays below 2^63.
+
+    Past the cap a holds Python ints, and so does every power at k >= 4.
+    """
     a = np.where(d <= f, d, 2 * f + 1 - d)
-    # The int64 sum is exact: on the kernel path a <= f < 2^50 below FD_CAP
-    # and a sub-block holds at most 2^12 terms, so it stays below 2^62;
-    # past the cap a holds Python ints.
-    values = a.tolist() if max(ks) > 1 else None
-    return tuple(int(a.sum()) if k == 1 else sum(map(pow, values, repeat(k))) for k in ks)
+    kernel = a.dtype != object
+    values = a.tolist() if max(ks) > (3 if kernel else 1) else None
+    sums = []
+    for k in ks:
+        if k == 1:
+            sums.append(int(a.sum()))
+        elif kernel and k <= 3:
+            w = 25 if k == 2 else 17
+            sums.append(_limb_power_sum([a >> (w * i) & ((1 << w) - 1) for i in range(k)], w, k))
+        else:
+            sums.append(sum(map(pow, values, repeat(k))))
+    return tuple(sums)
 
 
 def _check_k(k: int):
@@ -194,17 +236,80 @@ def sandwich(x: int, k: int, L: int, bits: int = SANDWICH_BITS, *, workers: int 
 
 def _sandwich_part(k: int, L: int, bits: int, s: int, fs: np.ndarray,
                    ds: np.ndarray) -> tuple[int, int, int]:
-    """The sandwich's lower and upper numerators and M_k over one (f, d) sub-block."""
-    lower = upper = 0
+    """The sandwich's lower and upper numerators and M_k over one (f, d) sub-block.
+
+    The numerators sum v^k for v = (j - 1) t and v' = j (t + 1).  On kernel
+    blocks at k = 1, 2 they are int64 limb sums (_limb_power_sum), with
+    these bounds:
+
+    * t = 2^bits (f + y) + (W >> (96 - bits)) < 2^(51 + bits), since
+      f + y <= 2f + 1 < 2^51 (f < 2^50 below FD_CAP);
+    * j <= L/2 <= MAX_BINS = 2^20 (delta < 1/2), so v < 2^(71 + bits) and
+      v' <= 2^(71 + bits) < 2^(24 n) for n = ceil((bits + 72) / 24), at
+      most 7 limbs over bits in [32, 96];
+    * t is read in n 24-bit limbs; j times a limb, plus j in limb 0 for
+      v', is at most 2^20 2^24 = 2^44, so one carry pass (carries below
+      2^21) normalizes v and v' into n 24-bit limbs with no carry left;
+    * over at most 2^12 terms a k = 1 column sum stays below 2^36 and a
+      k = 2 product column sum below 2^48 2^12 = 2^60.
+
+    Object blocks past FD_CAP and k >= 3 take a per-index loop in Python ints.
+    """
     # floor(2^bits (sqrt(p) + y)) = 2^bits (f + y) + floor(2^bits {sqrt(p)})
-    fy = (2 * fs + (ds > fs)).tolist()
-    mants = _mantissas(_frac_words(fs, ds)[0], bits)
-    for d, j, g, m in zip(ds.tolist(), distance_bins(fs, ds, L).tolist(), fy, mants):
+    fy = 2 * fs + (ds > fs)
+    words = _frac_words(fs, ds)[0]
+    bins = distance_bins(fs, ds, L)
+    exact = _power_sums_part((k,), s, fs, ds)[0]
+    if k <= 2 and fs.dtype != object:
+        t = _weight_limbs(fy, words, bits)
+        upper_j = np.where(ds != 0, bins, 0)  # perfect squares (d = 0) are omitted
+        lower = _limb_power_sum(_carry([(bins - 1) * c for c in t]), _WEIGHT_LIMB, k)
+        upper_cols = [upper_j * c for c in t]
+        upper_cols[0] += upper_j
+        return lower, _limb_power_sum(_carry(upper_cols), _WEIGHT_LIMB, k), exact
+    lower = upper = 0
+    for d, j, g, m in zip(ds.tolist(), bins.tolist(), fy.tolist(), _mantissas(words, bits)):
         if d:  # perfect squares (d = 0) are omitted
             t = (g << bits) + m
             lower += ((j - 1) * t) ** k
             upper += (j * (t + 1)) ** k
-    return lower, upper, _power_sums_part((k,), s, fs, ds)[0]
+    return lower, upper, exact
+
+
+_WEIGHT_LIMB = 24  # limb width of the sandwich's weights; see _sandwich_part
+
+
+def _weight_limbs(g: np.ndarray, words: np.ndarray, bits: int) -> list[np.ndarray]:
+    """The n = ceil((bits + 72) / 24) 24-bit limbs of t = 2^bits g + (W >> (96 - bits)).
+
+    2^(96 - bits) t is 2^96 g + W with its low 96 - bits bits cleared, so
+    limb i of t is bits [96 - bits + 24 i, + 24) of the 32-bit words
+    (W's three, then g's two, g < 2^51); limbs past t's top are zero.
+    """
+    src = [c.astype(np.uint64) for c in (*words.T, g & 0xFFFFFFFF, g >> 32)]
+    limbs = []
+    for i in range(-(-(bits + 72) // _WEIGHT_LIMB)):
+        q, r = divmod(96 - bits + _WEIGHT_LIMB * i, 32)
+        limb = np.zeros(len(g), np.uint64)
+        if q < len(src):
+            limb |= src[q] >> np.uint64(r)
+        if q + 1 < len(src):
+            limb |= src[q + 1] << np.uint64(32 - r)
+        limbs.append((limb & np.uint64((1 << _WEIGHT_LIMB) - 1)).astype(np.int64))
+    return limbs
+
+
+def _carry(cols: list[np.ndarray]) -> list[np.ndarray]:
+    """cols renormalized into 24-bit limbs by one carry pass.
+
+    The caller bounds the value below 2^(24 len(cols)), so no carry is left.
+    """
+    out, carry = [], 0
+    for c in cols:
+        c = c + carry
+        out.append(c & ((1 << _WEIGHT_LIMB) - 1))
+        carry = c >> _WEIGHT_LIMB
+    return out
 
 
 def fit_residual(xs, k: int, workers: int = 1, chunk: int = 1 << 16) -> FitReport:

@@ -1,9 +1,13 @@
 import math
 import tracemalloc
+from collections import defaultdict
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cannonball import exactseq as xs
 from cannonball import moments as mo
@@ -14,12 +18,19 @@ def oracle_moment(x, k):
     return sum(oracle_term(n)[2] ** k for n in range(1, x + 1))
 
 
-def per_bin_sandwich(x, k, L, bits=mo.SANDWICH_BITS):
-    """Sandwich bounds from per-bin sums: bins by isqrt(L^2 p), weights by isqrt(p << 2 bits)."""
-    w_lo = [0] * (L // 2 + 1)
-    w_hi = [0] * (L // 2 + 1)
-    for n in range(1, x + 1):
-        p, y, a = oracle_term(n)
+def per_bin_sandwich(x, k, L, bits=mo.SANDWICH_BITS, lo=1):
+    """Sandwich bounds over n in [lo, x] from per-bin sums of oracle terms."""
+    return per_bin_bounds((oracle_term(n) for n in range(lo, x + 1)), k, L, bits)
+
+
+def per_bin_bounds(terms, k, L, bits):
+    """Sandwich bounds of (p, y, a) terms from per-bin sums.
+
+    Bins come from isqrt(L^2 p), weights from isqrt(p << 2 bits).
+    """
+    w_lo = defaultdict(int)
+    w_hi = defaultdict(int)
+    for p, y, a in terms:
         if a == 0:
             continue
         f = math.isqrt(p)
@@ -29,9 +40,40 @@ def per_bin_sandwich(x, k, L, bits=mo.SANDWICH_BITS):
         w_lo[j] += t ** k
         w_hi[j] += (t + 1) ** k
     den = L ** k << (k * bits)
-    lower = sum((j - 1) ** k * w for j, w in enumerate(w_lo))
-    upper = sum(j ** k * w for j, w in enumerate(w_hi))
+    lower = sum((j - 1) ** k * w for j, w in w_lo.items())
+    upper = sum(j ** k * w for j, w in w_hi.items())
     return Fraction(lower, den), Fraction(upper, den)
+
+
+def part_bounds(k, L, bits, f, d):
+    """The bounds _sandwich_part gives for one (f, d) sub-block."""
+    lower, upper, _ = mo._sandwich_part(k, L, bits, 1, f, d)
+    den = L ** k << (k * bits)
+    return Fraction(lower, den), Fraction(upper, den)
+
+
+def fd_terms(f, d):
+    """(p, y, a) of each constructed (f, d) pair."""
+    for f, d in zip(f.tolist(), d.tolist()):
+        y = f if d <= f else f + 1
+        yield f * f + d, y, abs(f * f + d - y * y)
+
+
+def python_power_sums(ks, f, d):
+    """Sums of a^k by Python-int powers, the reference of the int64 limb sums."""
+    a = [min(x, 2 * y + 1 - x) for y, x in zip(f.tolist(), d.tolist())]
+    return tuple(sum(pow(v, k) for v in a) for k in ks)
+
+
+@st.composite
+def kernel_blocks(draw):
+    """int64 (f, d) blocks with f < 2^50, so a = min(d, 2f + 1 - d) lies in [0, 2^50)."""
+    pairs = []
+    for f in draw(st.lists(st.one_of(st.sampled_from([1, 2**25, 2**50 - 1]),
+                                     st.integers(1, 2**50 - 1)), min_size=1, max_size=64)):
+        pairs.append((f, draw(st.one_of(st.sampled_from([0, f, f + 1, 2 * f]),
+                                        st.integers(0, 2 * f)))))
+    return np.array([f for f, _ in pairs], np.int64), np.array([d for _, d in pairs], np.int64)
 
 
 class TestMoment:
@@ -72,6 +114,34 @@ class TestMoment:
         with mp.workprec(mo.WORK_PREC):
             expected = (mp.mpf(s.exact) - s.main) / mp.power(1000, 3 + mp.mpf(11) / 12)
             assert abs(s.normalized - expected) < 1e-40
+
+
+class TestLimbPowerSums:
+    """The int64 limb sums of _power_sums_part against Python-int powers."""
+
+    def test_worst_case_full_sub_block(self):
+        # a = 2^50 - 1 on every index puts each limb column sum at its bound
+        f = np.full(xs.SUB_BLOCK, 2**50 - 1, np.int64)
+        assert mo._power_sums_part((1, 2, 3), 1, f, f) == python_power_sums((1, 2, 3), f, f)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_blocks())
+    def test_random_kernel_blocks(self, block):
+        f, d = block
+        assert mo._power_sums_part((2, 3), 1, f, d) == python_power_sums((2, 3), f, d)
+
+    def test_mixed_orders_keep_their_order(self):
+        f, d = xs.block_fd(3_000_000, 3_000_000 + xs.SUB_BLOCK - 1)
+        ks = (3, 1, 7, 2)
+        assert mo._power_sums_part(ks, 3_000_000, f, d) == python_power_sums(ks, f, d)
+
+    def test_object_blocks_past_fd_cap_match(self):
+        f, d = xs.block_fd(xs.FD_CAP - 100, xs.FD_CAP + 100)
+        assert f.dtype == object
+        ks = (1, 2, 3, 4)
+        want = python_power_sums(ks, f, d)
+        assert mo._power_sums_part(ks, 1, f, d) == want
+        assert mo._power_sums_part(ks, 1, f.astype(np.int64), d.astype(np.int64)) == want
 
 
 class TestAverage:
@@ -175,6 +245,30 @@ class TestSandwich:
         for bits in (32, 64, 96):
             want = mo._sandwich_part(3, 100, bits, 2000, f, d)
             assert mo._sandwich_part(3, 100, bits, 2000, f.astype(object), d.astype(object)) == want
+
+    @pytest.mark.parametrize("bits", [32, 64, 96])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_limb_path_at_the_largest_bin(self, k, bits):
+        # n = 1732704 is the first index in bin L/2 = MAX_BINS = 2^20 at L = 2^21
+        L, lo = 2 * xs.MAX_BINS, 1732704 - 1000
+        f, d = xs.block_fd(lo, lo + xs.SUB_BLOCK - 1)
+        assert xs.distance_bins(f, d, L).max() == xs.MAX_BINS
+        assert part_bounds(k, L, bits, f, d) == per_bin_sandwich(lo + len(f) - 1, k, L, bits, lo)
+
+    @pytest.mark.parametrize("bits", [32, 64, 96])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_limb_path_constructed_extremes(self, k, bits):
+        # d = 2f with f >= 2^31 puts {sqrt(p)} above 1 - 2^-32, so at 32 bits
+        # t + 1 carries into f + y, up to t + 1 = 2^83 at f = 2^50 - 1; d = f
+        # with f >= 2^19 puts delta within 2^-21 of 1/2, in bin L/2 = 2^20
+        L = 2 * xs.MAX_BINS
+        f = np.random.default_rng(k * 100 + bits).integers(2**31, 2**50, xs.SUB_BLOCK)
+        f[:8] = 2**50 - 1
+        d = np.stack([2 * f, f, f + 1, f * 0, f // 3])[np.arange(len(f)) % 5, np.arange(len(f))]
+        assert xs.distance_bins(f, d, L).max() == xs.MAX_BINS
+        if bits == 32:
+            assert xs.frac_mantissa(2**50 - 1, 2**51 - 2, bits) == (1 << bits) - 1
+        assert part_bounds(k, L, bits, f, d) == per_bin_bounds(fd_terms(f, d), k, L, bits)
 
     def test_memory_does_not_grow_with_L(self):
         tracemalloc.start()

@@ -33,15 +33,20 @@ COMMANDS = (
     ("nearhalf", "--bits", "96"),
     ("exceptional",),
     ("moments", "--k", "1"),
+    ("moments", "--k", "2"),
     ("moments", "--k", "3"),
     ("moments", "--k", "7"),
 )
 CASES = [(*command, "--x", str(x), *mode) for command in COMMANDS for x in XS for mode in MODES]
 CASES += [
     ("fit", "--k", "2", "--xs", "1000,10000,100000,1000000"),
+    ("sandwich", "--x", "20000", "--k", "1", "--L", "2097152"),
+    ("sandwich", "--x", "20000", "--k", "2", "--L", "2097152"),
     ("sandwich", "--x", "20000", "--k", "3", "--L", "2097152"),
     ("histogram", "--x", "100000", "--bins", "1048576"),
 ]
+# the int64 limb power sums across n = 3810778, where P_n passes 2^64
+CASES += [("moments", "--x", "4000000", "--k", k) for k in ("2", "3")]
 # discrepancy, weyl and knbound: the fixed-point points at several precisions,
 # with and without the Erdos-Turan bound, and anchors past |m| = 32767
 CASES += [("discrepancy", "--x", str(x), *k, "--bits", bits)
