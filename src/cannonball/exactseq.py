@@ -394,9 +394,6 @@ def _two_prod(a, b):
 
 _WORD_F = 1 << 50       # f below this keeps f, d, y and a exact doubles; see _signed_delta
 _WORD_BAND = 2.0 ** -7  # leftover fractions _frac_words leaves to frac_mantissa
-# below this many indices one frac_mantissa each (about 2-3 us) beats one
-# _frac_words call (about 0.1-0.17 ms at any length up to 128)
-_WORDS_MIN = 64
 
 
 def _signed_delta(f: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -634,9 +631,10 @@ def near_half_count(x: int, bits: int = DEFAULT_BITS, *, workers: int = 1,
     every margin, otherwise.  So keeping the indices whose computed margin
     is at most that sum keeps every index the window or the flag zone can
     hold.  The prefilter runs as vector compares on each (f, d) sub-block;
-    only the survivors take the exact fixed-point path, their mantissas
-    read from the _frac_words words, or from frac_mantissa when fewer
-    than _WORDS_MIN survive, which costs less than one _frac_words call.
+    only the survivors take the exact fixed-point path, one frac_mantissa
+    each.  A sub-block holds about 2 N x^(-3/4) of them, N = min(x, 4096),
+    at most about 16, and one frac_mantissa (about 2-3 us) costs far less
+    than one _frac_words call (about 0.1-0.17 ms at any length).
     """
     if x < 1:
         raise ValueError("scan bound must be >= 1")
@@ -653,13 +651,8 @@ def _near_half_part(bits: int, t_int: int, s: int, f: np.ndarray,
     count = borderline = 0
     # perfect squares (d = 0) are excluded from the window
     idx = np.flatnonzero((d != 0) & (0.5 - _distances(f, d) <= cutoff))
-    if not len(idx):
-        return 0, 0
-    if len(idx) < _WORDS_MIN:
-        mants = [frac_mantissa(a, b, bits) for a, b in zip(f[idx].tolist(), d[idx].tolist())]
-    else:
-        mants = _mantissas(_frac_words(f[idx], d[idx])[0], bits)
-    for w in mants:
+    for a, b in zip(f[idx].tolist(), d[idx].tolist()):
+        w = frac_mantissa(a, b, bits)
         m = abs(w - half)
         if abs(m - t_int) <= 2:
             borderline += 1

@@ -151,17 +151,16 @@ def test_near_half_count_matches_scalar_reference(x, bits):
 
 
 @pytest.mark.parametrize("bits", [32, 64, 96])
-@pytest.mark.parametrize("x", [30, 2000])
-def test_near_half_part_reads_few_and_many_survivors_alike(x, bits):
-    # the window of x = 30 leaves far more than _WORDS_MIN survivors in a
-    # sub-block, read from _frac_words; that of x = 2000 leaves a few, read
-    # one frac_mantissa each
+@pytest.mark.parametrize("x", [2000, xs.SUB_BLOCK])
+def test_near_half_part_matches_frac_mantissa_on_its_sub_block(x, bits):
+    # near_half_count(x) hands this part the sub-block 1..x with the window
+    # of x; a window of x = 4096 leaves the most survivors, about 16
     t_int = math.isqrt(math.isqrt((1 << (4 * bits)) // (x * x * x)))
     half = 1 << (bits - 1)
-    s = 10**6
-    f, d = xs.block_fd(s, s + xs.SUB_BLOCK - 1)
-    margins = [abs(xs.frac_mantissa(a, b, bits) - half) for a, b in zip(f.tolist(), d.tolist())]
+    f, d = xs.block_fd(1, x)
+    margins = [abs(xs.frac_mantissa(a, b, bits) - half)
+               for a, b in zip(f.tolist(), d.tolist()) if b]
     want = (sum(m < t_int and abs(m - t_int) > 2 for m in margins),
             sum(abs(m - t_int) <= 2 for m in margins))
-    assert want[0] > 0 and (want[0] > xs._WORDS_MIN) == (x == 30)
-    assert xs._near_half_part(bits, t_int, s, f, d) == want
+    assert want[0] > 0
+    assert xs._near_half_part(bits, t_int, 1, f, d) == want
