@@ -148,19 +148,3 @@ def test_near_half_count_matches_scalar_reference(x, bits):
     assert xs.near_half_count(x, bits) == want
     if (x, bits) == (47_109, 32):
         assert want[1] == 1
-
-
-@pytest.mark.parametrize("bits", [32, 64, 96])
-@pytest.mark.parametrize("x", [2000, xs.SUB_BLOCK])
-def test_near_half_part_matches_frac_mantissa_on_its_sub_block(x, bits):
-    # near_half_count(x) hands this part the sub-block 1..x with the window
-    # of x; a window of x = 4096 leaves the most survivors, about 16
-    t_int = math.isqrt(math.isqrt((1 << (4 * bits)) // (x * x * x)))
-    half = 1 << (bits - 1)
-    f, d = xs.block_fd(1, x)
-    margins = [abs(xs.frac_mantissa(a, b, bits) - half)
-               for a, b in zip(f.tolist(), d.tolist()) if b]
-    want = (sum(m < t_int and abs(m - t_int) > 2 for m in margins),
-            sum(abs(m - t_int) <= 2 for m in margins))
-    assert want[0] > 0
-    assert xs._near_half_part(bits, t_int, 1, f, d) == want
