@@ -14,10 +14,11 @@ cadence are deliberately not part of the fingerprint).
 emit is the one writer.  terms formats each chunk of rows straight from
 the (f, d) kernel into one string, and emit writes each chunk as it
 arrives, so memory does not grow with the range; the other commands' few
-dict rows are rendered into one chunk.  A file is written to FILE.tmp and
-renamed over FILE only when complete: on any error the .tmp file is
-removed and an existing FILE keeps its bytes.  A reader that closes
-stdout early (`| head`) ends the run quietly, with status 0.
+dict rows (never none) are rendered into one chunk, whose CSV header is
+the first row's keys.  A file is written to FILE.tmp and renamed over
+FILE only when complete: on any error the .tmp file is removed and an
+existing FILE keeps its bytes.  A reader that closes stdout early
+(`| head`) ends the run quietly, with status 0.
 
 Exit status: 0 on success, 2 for bad input, 3 for a checkpoint written by
 another configuration, 4 when a result fails its own self-check (the
@@ -111,15 +112,11 @@ def _fraction_str(fr) -> str:
         return mp.nstr(mp.mpf(fr.numerator) / fr.denominator, REAL_DIGITS)
 
 
-def _render(rows: list[dict], out_format: str, fieldnames=None) -> str:
-    """Dict rows as RFC-4180 CSV or a JSON array with stable field order."""
+def _render(rows: list[dict], out_format: str) -> str:
+    """Dict rows as RFC-4180 CSV headed by the first row's keys, or as a JSON array."""
     buf = io.StringIO()
     if out_format == "csv":
-        if fieldnames is None:
-            if not rows:
-                raise ValueError("empty row set needs explicit fieldnames")
-            fieldnames = list(rows[0].keys())
-        writer = csv.DictWriter(buf, fieldnames=fieldnames)
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     elif out_format == "json":
@@ -130,13 +127,14 @@ def _render(rows: list[dict], out_format: str, fieldnames=None) -> str:
     return buf.getvalue()
 
 
-def emit(rows, out_format: str, destination=None, fieldnames=None):
+def emit(rows, out_format: str, destination=None):
     """Write a command's output to stdout or to `destination`, chunk by chunk.
 
-    rows is a list of dict rows, rendered as one chunk of RFC-4180 CSV or a
-    JSON array with stable field order, or an iterator of text chunks
-    already in out_format (how terms streams), each written as it arrives,
-    so memory does not grow with the output.
+    rows is a list of dict rows, rendered as one chunk of RFC-4180 CSV
+    headed by the first row's keys or a JSON array with stable field
+    order, or an iterator of text chunks already in out_format (how terms
+    streams), each written as it arrives, so memory does not grow with the
+    output.
 
     A file is written to destination + ".tmp" and moved over `destination`
     by os.replace after the last chunk, so no reader sees a partial file.
@@ -146,7 +144,7 @@ def emit(rows, out_format: str, destination=None, fieldnames=None):
     stdout is pointed at os.devnull, so the flush at shutdown has nothing
     to report, and emit returns normally.
     """
-    chunks = [_render(rows, out_format, fieldnames)] if isinstance(rows, list) else rows
+    chunks = [_render(rows, out_format)] if isinstance(rows, list) else rows
     if destination is None:
         try:
             sys.stdout.writelines(chunks)
@@ -181,11 +179,28 @@ def _write_checkpoint(path: str, fingerprint: str, last_n: int, accumulators):
 
 
 def _read_checkpoint(path: str) -> dict:
+    """The checkpoint at path, in the shape _write_checkpoint gives it.
+
+    Another schema version is a CheckpointMismatch; unparsable JSON or any
+    other shape is a ValueError that names the file.
+    """
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"checkpoint {path} is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"checkpoint {path} is not a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise CheckpointMismatch(
             f"checkpoint schema {doc.get('schema_version')} unsupported")
+    pairs = doc.get("accumulators")
+    if not (isinstance(doc.get("fingerprint"), str) and type(doc.get("last_n")) is int
+            and isinstance(pairs, list)
+            and all(isinstance(p, list) and len(p) == 2 and isinstance(p[0], str)
+                    and isinstance(p[1], str) and p[1].isdecimal() for p in pairs)):
+        raise ValueError(f"checkpoint {path} needs a string fingerprint, an integer last_n "
+                         "and accumulators as [name, decimal string] pairs")
     return doc
 
 
@@ -197,7 +212,7 @@ def _cmd_terms(cfg: RunConfig):
     spec = exactseq.RangeSpec(cfg.lo, cfg.hi, cfg.chunk)
     spans = ((cfg.out_format, lo, hi) for lo, hi in spec.chunks())
     texts = exactseq.ordered_map(_terms_text, spans, cfg.workers)
-    return _terms_chunks(cfg.out_format, texts), None
+    return _terms_chunks(cfg.out_format, texts)
 
 
 def _terms_chunks(out_format: str, texts):
@@ -239,18 +254,6 @@ def _terms_text(span: tuple) -> str:
     return ("" if is_csv else ",\n").join(rows)
 
 
-def _moment_row(summary) -> dict:
-    return {
-        "x": summary.x,
-        "k": summary.k,
-        "exact": str(summary.exact),
-        "main": _real(summary.main),
-        "residual": _real(summary.residual),
-        "normalized": _real(summary.normalized),
-        "prec_bits": moments.WORK_PREC,
-    }
-
-
 def _cmd_moments(cfg: RunConfig):
     fingerprint = cfg.fingerprint()
     start_n, init = 1, None
@@ -260,7 +263,11 @@ def _cmd_moments(cfg: RunConfig):
         if doc["fingerprint"] != fingerprint:
             raise CheckpointMismatch(
                 "checkpoint was written by a different configuration; refusing to resume")
-        start_n = int(doc["last_n"]) + 1
+        names = [name for name, _ in doc["accumulators"]]
+        if not 0 <= doc["last_n"] < cfg.x or names != [f"m{cfg.k}"]:
+            raise ValueError(f"checkpoint {ckpt} holds no state of this run before x={cfg.x}: "
+                             f"last_n={doc['last_n']}, accumulators {names}")
+        start_n = doc["last_n"] + 1
         init = [int(v) for _, v in doc["accumulators"]]
     progress = None
     if ckpt:
@@ -273,8 +280,16 @@ def _cmd_moments(cfg: RunConfig):
 
     table = moments.power_sums_at([cfg.x], (cfg.k,), workers=cfg.workers, chunk=cfg.chunk,
                                   start_n=start_n, init=init, progress=progress)
-    summary = moments.summary_from_exact(cfg.x, cfg.k, table[cfg.x][0])
-    return [_moment_row(summary)], None
+    s = moments.summary_from_exact(cfg.x, cfg.k, table[cfg.x][0])
+    return [{
+        "x": s.x,
+        "k": s.k,
+        "exact": str(s.exact),
+        "main": _real(s.main),
+        "residual": _real(s.residual),
+        "normalized": _real(s.normalized),
+        "prec_bits": moments.WORK_PREC,
+    }]
 
 
 def _cmd_average(cfg: RunConfig):
@@ -288,7 +303,7 @@ def _cmd_average(cfg: RunConfig):
         "main": _real(s.main),
         "prec_bits": moments.WORK_PREC,
     }
-    return [row], None
+    return [row]
 
 
 def _cmd_sandwich(cfg: RunConfig):
@@ -301,7 +316,7 @@ def _cmd_sandwich(cfg: RunConfig):
         "rel_width": repr(r.rel_width),
         "prec_digits": REAL_DIGITS,
     }
-    return [row], None
+    return [row]
 
 
 def _cmd_discrepancy(cfg: RunConfig):
@@ -319,13 +334,13 @@ def _cmd_discrepancy(cfg: RunConfig):
         "slack": repr(r.slack) if r.slack is not None else "",
         "prec_bits": 53,
     }
-    return [row], None
+    return [row]
 
 
 def _cmd_weyl(cfg: RunConfig):
     rows = [{"m": m, "ratio": repr(ratio), "prec_bits": 53}
             for m, ratio in equidist.weyl_profile(cfg.x, cfg.m_max, cfg.bits)]
-    return rows, ["m", "ratio", "prec_bits"]
+    return rows
 
 
 def _cmd_knbound(cfg: RunConfig):
@@ -342,7 +357,7 @@ def _cmd_knbound(cfg: RunConfig):
             "ok": s.modulus <= bound,
             "prec_bits": 53,
         })
-    return rows, ["m", "modulus", "bound", "ok", "prec_bits"]
+    return rows
 
 
 def _cmd_exceptional(cfg: RunConfig):
@@ -353,14 +368,13 @@ def _cmd_exceptional(cfg: RunConfig):
         "members": ";".join(str(n) for n in members),
         "window_checked": all(exactseq.half_window_check(n) for n in members),
     }
-    return [row], None
+    return [row]
 
 
 def _cmd_nearhalf(cfg: RunConfig):
     count, borderline = exactseq.near_half_count(cfg.x, cfg.bits, workers=cfg.workers,
                                                  chunk=cfg.chunk)
-    return [{"x": cfg.x, "count": count, "borderline": borderline,
-             "bits": cfg.bits}], None
+    return [{"x": cfg.x, "count": count, "borderline": borderline, "bits": cfg.bits}]
 
 
 def _cmd_histogram(cfg: RunConfig):
@@ -368,7 +382,7 @@ def _cmd_histogram(cfg: RunConfig):
     rows = [{"x": h.x, "bins": h.bins, "bin": j + 1, "count": c,
              "flagged_total": h.flagged}
             for j, c in enumerate(h.counts)]
-    return rows, ["x", "bins", "bin", "count", "flagged_total"]
+    return rows
 
 
 def _monomial_json(m: minimax.Monomial) -> dict:
@@ -388,7 +402,7 @@ def _cmd_optimize(cfg: RunConfig):
             "truncation_choice": _monomial_json(r.truncation_choice),
             "residual_exponent": str(r.residual_exponent),
         }
-        return [doc], None
+        return [doc]
     if not cfg.expr or not cfg.var:
         raise ValueError("optimize needs --expr and --var (or --preset)")
     F = None
@@ -411,7 +425,7 @@ def _cmd_optimize(cfg: RunConfig):
         "value": _monomial_json(sol.value),
         "crossings": [_monomial_json(c) for c in sol.crossings],
     }
-    return [doc], None
+    return [doc]
 
 
 def _cmd_fit(cfg: RunConfig):
@@ -423,7 +437,7 @@ def _cmd_fit(cfg: RunConfig):
         "intercept": repr(report.intercept),
         "prec_bits": 53,
     } for x, v in zip(report.xs, report.values)]
-    return rows, ["x", "k", "abs_residual", "slope", "intercept", "prec_bits"]
+    return rows
 
 
 _HANDLERS = {
@@ -449,8 +463,7 @@ def run(config: RunConfig) -> int:
         print(f"unknown command {config.command!r}", file=sys.stderr)
         return 2
     try:
-        rows, fieldnames = handler(config)
-        emit(rows, config.out_format, config.output, fieldnames)
+        emit(handler(config), config.out_format, config.output)
     except CheckpointMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -350,23 +350,29 @@ def kn_bound(lo: int, hi: int, m: int) -> float:
         raise ValueError("m must be >= 1")
     if not lo < hi:
         raise ValueError("need lo < hi")
-    h1_lo = deriv_bounds(lo).h1
-    h1_hi = deriv_bounds(hi).h1
-    rho = m * deriv_bounds(hi).h2
-    return (m * abs(h1_hi - h1_lo) + 2.0) * (4.0 / math.sqrt(rho) + 3.0)
+    at_hi = deriv_bounds(hi)
+    rho = m * at_hi.h2
+    return (m * abs(at_hi.h1 - deriv_bounds(lo).h1) + 2.0) * (4.0 / math.sqrt(rho) + 3.0)
 
 
 def star_discrepancy(points) -> DiscrepancyResult:
-    """Exact star discrepancy of a finite point set in [0, 1)."""
-    pts = as_phase_points(points)
-    u = np.sort(pts.values)
+    """Exact star discrepancy of a finite point set in [0, 1).
+
+    The sorted floats are the one full-length array: both maxima of the
+    sorted-points formula are taken one POINT_BLOCK at a time.  A point
+    just below 1 may round to 1.0, which the formula takes as it is.
+    """
+    u = as_phase_points(points).values
+    u.sort()  # values is a fresh array
     n = len(u)
     if n < 1:
         raise ValueError("empty point set")
-    if u[0] < 0.0 or u[-1] >= 1.0:
-        raise ValueError("points must lie in [0, 1)")
-    i = np.arange(1, n + 1, dtype=np.float64)
-    d_star = float(max((i / n - u).max(), (u - (i - 1) / n).max()))
+    d_star = 0.0
+    for b in range(0, n, POINT_BLOCK):
+        ub = u[b:b + POINT_BLOCK]
+        i = np.arange(b + 1, b + len(ub) + 1, dtype=np.float64)
+        d_star = max(d_star, (i / n - ub).max(), (ub - (i - 1) / n).max())
+    d_star = float(d_star)
     return DiscrepancyResult(n, n * d_star, d_star)
 
 
@@ -420,7 +426,7 @@ def half_distance_histogram(x: int, bins: int, *, workers: int = 1,
         raise ValueError("x must be >= 1")
     if not 2 <= bins <= MAX_BINS:
         raise ValueError(f"bins must be in [2, {MAX_BINS}], got {bins}")
-    hits, flagged = scan(partial(_histogram_part, bins), x, workers, chunk)[x]
+    hits, flagged = scan(partial(_histogram_part, bins), x, workers, chunk)
     return HistogramResult(x, bins, tuple(hits.dense()[1:].tolist()), flagged)
 
 

@@ -268,9 +268,9 @@ def ordered_map(fn, items, workers: int = 1) -> Iterator:
         yield from map(fn, chain(head, items))
 
 
-def scan(fn, hi: int, workers: int = 1, chunk: int = 1 << 16, marks=(), start_n: int = 1,
-         init=None, progress=None) -> dict:
-    """Fold fn over the indices [start_n, hi]: {stop: running total} at every mark and at hi.
+def scan(fn, hi: int, workers: int = 1, chunk: int = 1 << 16, start_n: int = 1,
+         init=None, progress=None):
+    """Fold fn over the indices [start_n, hi] and return the total.
 
     fn(s, f, d) reduces one fd_blocks sub-block, f[i] and d[i] belonging to
     index s + i, to a tuple of partials, and returns fresh objects: they
@@ -280,36 +280,27 @@ def scan(fn, hi: int, workers: int = 1, chunk: int = 1 << 16, marks=(), start_n:
     addition is meant.  fn is pickled into the pool, so it is a
     module-level function or a functools.partial of one.
 
-    [start_n, hi] is cut lazily into spans of at most `chunk` indices,
-    none of which crosses a mark, so no list of spans is built, and
-    ordered_map folds each span in a pool of up to `workers` processes.
-    The span totals are merged into the running total by + in index
-    order, starting from `init` (None: from the first span), so `init`,
-    the snapshot at each mark and the totals passed to progress(last_n,
-    total) after each merge are never mutated afterwards.
-    Exact components make the totals independent of workers and chunk.
-    When start_n > hi nothing is left to scan, and the result is {hi: init}.
+    [start_n, hi] is cut lazily into spans of at most `chunk` indices, so
+    no list of spans is built, and ordered_map folds each span in a pool
+    of up to `workers` processes.  The span totals are merged into the
+    running total by + in index order, starting from `init` (None: from
+    the first span), so `init` and the totals passed to progress(last_n,
+    total) after each merge are never mutated afterwards; a caller that
+    needs the total at several indices scans up to each in turn and
+    resumes from it (moments.power_sums_at).  Exact components make the
+    total independent of workers and chunk.  When start_n > hi nothing is
+    left to scan, and the result is `init`.
     """
     if start_n > hi:
-        return {hi: init}
-    stops = sorted(set(marks) | {hi})
-    if stops[0] < start_n or stops[-1] > hi:
-        raise ValueError(f"marks must lie in [{start_n}, {hi}]")
-
-    def spans():
-        lo = start_n
-        for stop in stops:
-            yield from RangeSpec(lo, stop, chunk).chunks()
-            lo = stop + 1
-
-    total, out, want = init, {}, set(stops)
-    for (_, last), part in zip(spans(), ordered_map(partial(_fold_span, fn), spans(), workers)):
+        return init
+    spans = RangeSpec(start_n, hi, chunk)
+    total = init
+    for (_, last), part in zip(spans.chunks(),
+                               ordered_map(partial(_fold_span, fn), spans.chunks(), workers)):
         total = part if total is None else tuple(t + p for t, p in zip(total, part))
-        if last in want:
-            out[last] = total
         if progress is not None:
             progress(last, total)
-    return out
+    return total
 
 
 def _fold_span(fn, span: tuple[int, int]) -> tuple:
@@ -584,7 +575,7 @@ def exceptional_indices(x: int, *, workers: int = 1, chunk: int = 1 << 16) -> li
     """
     if x < 1:
         raise ValueError("scan bound must be >= 1")
-    return scan(_exceptional_part, x, workers, chunk)[x][0]
+    return scan(_exceptional_part, x, workers, chunk)[0]
 
 
 def _exceptional_part(s: int, f: np.ndarray, d: np.ndarray) -> tuple[list[int]]:
@@ -641,7 +632,7 @@ def near_half_count(x: int, bits: int = DEFAULT_BITS, *, workers: int = 1,
     check_bits(bits)
     # T = floor(2^bits / x^(3/4)) = floor((2^(4 bits) / x^3)^(1/4))
     t_int = math.isqrt(math.isqrt((1 << (4 * bits)) // (x * x * x)))
-    return scan(partial(_near_half_part, bits, t_int), x, workers, chunk)[x]
+    return scan(partial(_near_half_part, bits, t_int), x, workers, chunk)
 
 
 def _near_half_part(bits: int, t_int: int, s: int, f: np.ndarray,

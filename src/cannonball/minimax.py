@@ -93,7 +93,10 @@ class Monomial:
             var = var.strip()
             if not var or not expr:
                 raise ValueError(f"malformed monomial entry {item!r}")
-            total = sum(Fraction(part.strip()) for part in expr.split("+"))
+            try:
+                total = sum(Fraction(part.strip()) for part in expr.split("+"))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"malformed monomial entry {item!r}") from None
             exps[var] = exps.get(var, Fraction(0)) + total
         return cls(exps, coeff_log)
 
@@ -104,10 +107,7 @@ class Monomial:
         return Monomial(exps, self.coeff_log + other.coeff_log)
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
-        exps = dict(self._exps)
-        for v, e in other._exps.items():
-            exps[v] = exps.get(v, Fraction(0)) - e
-        return Monomial(exps, self.coeff_log - other.coeff_log)
+        return self * other ** -1
 
     def __pow__(self, power) -> "Monomial":
         q = Fraction(power)

@@ -133,12 +133,12 @@ def power_sums_at(xs, ks, workers: int = 1, chunk: int = 1 << 16,
                   start_n: int = 1, init=None, progress=None) -> dict[int, tuple[int, ...]]:
     """Exact partial sums of a_n^k for each k in ks, snapshot at every x in xs.
 
-    One exactseq.scan over [start_n, max(xs)] with a mark at every x, so
-    the outcome is identical for any worker count and chunk size.  `init`
-    resumes from previously accumulated sums through start_n - 1
-    (checkpointing); a resume past a single snapshot point returns `init`
-    as its value.  `progress(last_n, sums)` is invoked after each merged
-    chunk.
+    One exactseq.scan up to each x in turn, each resuming from the sums at
+    the previous one, so the outcome is identical for any worker count and
+    chunk size.  `init` resumes from previously accumulated sums through
+    start_n - 1 (checkpointing); a resume past a single snapshot point
+    returns `init` as its value.  `progress(last_n, sums)` is invoked
+    after each merged chunk.
     """
     xs = sorted(set(int(x) for x in xs))
     if xs[0] < 1:
@@ -148,8 +148,12 @@ def power_sums_at(xs, ks, workers: int = 1, chunk: int = 1 << 16,
         _check_k(k)
     if xs[0] < min(start_n, xs[-1]):
         raise ValueError(f"snapshot points below the resume index {start_n}")
-    init = tuple(init) if init is not None else (0,) * len(ks)
-    return scan(partial(_power_sums_part, ks), xs[-1], workers, chunk, xs, start_n, init, progress)
+    fn, out = partial(_power_sums_part, ks), {}
+    sums = tuple(init) if init is not None else (0,) * len(ks)
+    for x in xs:
+        out[x] = sums = scan(fn, x, workers, chunk, start_n, sums, progress)
+        start_n = x + 1
+    return out
 
 
 def power_sums(x: int, ks, workers: int = 1, chunk: int = 1 << 16) -> tuple[int, ...]:
@@ -196,7 +200,7 @@ def average(x: int, workers: int = 1, chunk: int = 1 << 16) -> AverageSummary:
     m1 = power_sums(x, (1,), workers=workers, chunk=chunk)[0]
     with mp.workprec(WORK_PREC):
         value = mp.mpf(m1) / x
-        main = mp.power(x, mp.mpf(3) / 2) / (5 * mp.sqrt(3))
+        main = main_term(x, 1) / x
     return AverageSummary(x, Fraction(m1, x), value, main)
 
 
@@ -226,7 +230,7 @@ def sandwich(x: int, k: int, L: int, bits: int = SANDWICH_BITS, *, workers: int 
         raise ValueError(f"bin count L={L} must be a positive even integer")
     if L // 2 > MAX_BINS:
         raise ValueError(f"bin count L={L} must be <= {2 * MAX_BINS}")
-    lower_num, upper_num, exact = scan(partial(_sandwich_part, k, L, bits), x, workers, chunk)[x]
+    lower_num, upper_num, exact = scan(partial(_sandwich_part, k, L, bits), x, workers, chunk)
     den = L ** k << (k * bits)
     result = SandwichResult(x, k, L, Fraction(lower_num, den), Fraction(upper_num, den), exact)
     if not (result.lower <= exact and exact <= result.upper):

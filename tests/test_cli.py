@@ -156,11 +156,6 @@ class TestMoments:
 
 
 class TestEmit:
-    def test_header_only_csv(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        cli.emit([], "csv", path, fieldnames=["a", "b"])
-        assert path.read_bytes() == b"a,b\r\n"
-
     def test_empty_json_array(self, tmp_path):
         path = tmp_path / "empty.json"
         cli.emit([], "json", path)
@@ -242,6 +237,38 @@ class TestCheckpointing:
         assert code == 3
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"schema_version": 1},
+        {"schema_version": 1, "fingerprint": "f", "last_n": "10", "accumulators": []},
+        {"schema_version": 1, "fingerprint": "f", "last_n": 10, "accumulators": [["m1", 5]]},
+    ], ids=["list", "no-fields", "string-last-n", "int-accumulator"])
+    def test_malformed_checkpoint_exits_2(self, tmp_path, capsys, doc):
+        ck = tmp_path / "ck.json"
+        ck.write_text(json.dumps(doc))
+        code = cli.main(["moments", "--x", "100", "--checkpoint", str(ck),
+                         "--output", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert str(ck) in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("last_n, accumulators", [
+        (-1, [("m1", 0)]), (1000, [("m1", 12345)]), (5000, [("m1", 12345)]),
+        (10, []), (10, [("m2", 5)]),
+    ])
+    def test_checkpoint_not_of_this_run_refused(self, tmp_path, capsys, last_n, accumulators):
+        """A checkpoint at or past x, or without this run's one accumulator,
+        holds no partial sum of this run: nothing in it may come out as the
+        exact moment."""
+        ck = tmp_path / "ck.json"
+        argv = ["moments", "--x", "1000", "--k", "1", "--checkpoint", str(ck),
+                "--output", str(tmp_path / "out.csv")]
+        cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
+        cli._write_checkpoint(str(ck), cfg.fingerprint(), last_n, accumulators)
+        assert cli.main(argv) == 2
+        assert "last_n" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_fingerprint_ignores_parallelism_knobs(self):
         parser = cli.build_parser()
         base = cli.config_from_args(parser.parse_args(["moments", "--x", "100", "--k", "1"]))
@@ -319,6 +346,12 @@ class TestOptimize:
     def test_expr_requires_var(self, capsys):
         code = cli.main(["optimize", "--expr", "F=x:1"])
         assert code == 2
+
+    def test_zero_denominator_exits_2(self):
+        proc = run_cli(["optimize", "--expr", "F=x:1/0;G=x:1", "--var", "x"])
+        assert proc.returncode == 2
+        assert "malformed monomial entry" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestOtherCommands:

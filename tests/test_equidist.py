@@ -149,6 +149,22 @@ class TestStarDiscrepancy:
         with pytest.raises(ValueError):
             eq.star_discrepancy([])
 
+    def test_word_that_rounds_to_one_accepted(self):
+        pts = eq.as_phase_points([xs.FixedFrac(2**96 - 1, 96), xs.FixedFrac(2**95, 96)])
+        assert eq.star_discrepancy(pts).d_star == 0.5
+        assert eq.erdos_turan(pts, 3).d_star == 0.5
+
+    @pytest.mark.parametrize("bits", [96, 40])
+    def test_blocks_match_the_whole_array_formula(self, bits):
+        """The blockwise maxima give the bits of the formula on the whole sorted array."""
+        pts = eq.sqrt_frac_points(2 * eq.POINT_BLOCK + 1234, bits)
+        u = np.sort(pts.values)
+        n = len(u)
+        i = np.arange(1, n + 1, dtype=np.float64)
+        want = float(max((i / n - u).max(), (u - (i - 1) / n).max()))
+        r = eq.star_discrepancy(pts)
+        assert (r.d_star, r.d_unnormalized) == (want, n * want)
+
 
 class TestErdosTuran:
     def test_holds_on_sequence_points(self):

@@ -182,40 +182,30 @@ def _plain(total):
 
 
 class TestScan:
-    def test_marks_split_chunks_and_snapshot_totals(self):
+    def test_progress_at_each_span_end(self):
         seen = []
-        out = xs.scan(_span_parts, 100, chunk=30, marks=(45,),
-                      progress=lambda last, total: seen.append((last, _plain(total))))
-        assert {n: _plain(t) for n, t in out.items()} == {
-            45: (45, [1, 31], [32, 2]),
-            100: (100, [1, 31, 46, 76], [154, 4]),
-        }
-        assert seen == [(30, (30, [1], [1, 1])), (45, (45, [1, 31], [32, 2])),
-                        (75, (75, [1, 31, 46], [78, 3])), (100, _plain(out[100]))]
+        total = xs.scan(_span_parts, 100, chunk=30,
+                        progress=lambda last, total: seen.append((last, _plain(total))))
+        assert _plain(total) == (100, [1, 31, 61, 91], [184, 4])
+        assert seen == [(30, (30, [1], [1, 1])), (60, (60, [1, 31], [32, 2])),
+                        (90, (90, [1, 31, 61], [93, 3])), (100, _plain(total))]
 
     def test_resume_from_init(self):
         init = (45, [1, 31], np.array([32, 2]))
-        out = xs.scan(_span_parts, 100, chunk=30, start_n=46, init=init)
-        assert list(out) == [100]
-        assert _plain(out[100]) == (100, [1, 31, 46, 76], [154, 4])
+        total = xs.scan(_span_parts, 100, chunk=30, start_n=46, init=init)
+        assert _plain(total) == (100, [1, 31, 46, 76], [154, 4])
         assert _plain(init) == (45, [1, 31], [32, 2])
 
     def test_nothing_left_returns_init(self):
         calls = []
         assert xs.scan(_span_parts, 10, start_n=11, init=(7,),
-                       progress=lambda *a: calls.append(a)) == {10: (7,)}
+                       progress=lambda *a: calls.append(a)) == (7,)
         assert calls == []
 
     def test_workers_do_not_change_totals(self):
-        serial = xs.scan(_span_parts, 1000, chunk=37, marks=(500, 999))
-        pooled = xs.scan(_span_parts, 1000, workers=2, chunk=37, marks=(500, 999))
-        assert {n: _plain(t) for n, t in serial.items()} == \
-            {n: _plain(t) for n, t in pooled.items()}
-
-    @pytest.mark.parametrize("marks, start_n", [((0,), 1), ((101,), 1), ((20,), 30)])
-    def test_rejects_marks_outside_the_range(self, marks, start_n):
-        with pytest.raises(ValueError, match="marks"):
-            xs.scan(_span_parts, 100, marks=marks, start_n=start_n)
+        serial = xs.scan(_span_parts, 1000, chunk=37)
+        pooled = xs.scan(_span_parts, 1000, workers=2, chunk=37)
+        assert _plain(serial) == _plain(pooled)
 
     def test_sandwich_is_one_kernel_pass(self, monkeypatch):
         fed = []
@@ -229,6 +219,27 @@ class TestScan:
         x = 3 * xs.SUB_BLOCK + 17
         mo.sandwich(x, 2, 100, chunk=5000)
         assert sum(fed) == x
+
+
+class TestSnapshots:
+    """power_sums_at scans up to each snapshot point in turn, resuming from the last."""
+
+    def test_snapshot_cuts_spans_at_each_point(self):
+        seen = []
+        table = mo.power_sums_at([45, 100], (1, 2), chunk=30,
+                                 progress=lambda last, sums: seen.append((last, sums)))
+        assert table == {45: mo.power_sums(45, (1, 2)), 100: mo.power_sums(100, (1, 2))}
+        assert seen == [(last, mo.power_sums(last, (1, 2))) for last in (30, 45, 75, 100)]
+
+    def test_workers_do_not_change_snapshots(self):
+        serial = mo.power_sums_at([500, 999], (1, 3), chunk=37)
+        pooled = mo.power_sums_at([500, 999], (1, 3), workers=2, chunk=37)
+        assert serial == pooled == {x: mo.power_sums(x, (1, 3)) for x in (500, 999)}
+
+    @pytest.mark.parametrize("points, start_n", [((0, 50), 1), ((20, 50), 30), ((29, 50), 30)])
+    def test_rejects_points_below_the_resume_index(self, points, start_n):
+        with pytest.raises(ValueError, match="snapshot points"):
+            mo.power_sums_at(points, (1,), start_n=start_n, init=(0,))
 
 
 class TestOrderedMap:

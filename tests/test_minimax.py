@@ -18,6 +18,10 @@ class TestMonomial:
         with pytest.raises(ValueError):
             mm.Monomial.parse("x:")
 
+    def test_parse_rejects_zero_denominator(self):
+        with pytest.raises(ValueError, match="malformed monomial entry"):
+            mm.Monomial.parse("x:1/0")
+
     def test_algebra(self):
         a = mm.Monomial({"x": 2, "y": Fraction(1, 3)})
         b = mm.Monomial({"x": -1, "z": 1})

@@ -161,6 +161,12 @@ class TestAverage:
         s = mo.average(100)
         assert abs(float(s.value) - s.exact.numerator / s.exact.denominator) < 1e-12
 
+    @pytest.mark.parametrize("x", [1, 2, 24, 999, 10**6 + 1])
+    def test_main_is_x_to_three_halves_over_5_sqrt3(self, x):
+        with mp.workprec(mo.WORK_PREC):
+            want = mp.power(x, mp.mpf(3) / 2) / (5 * mp.sqrt(3))
+        assert mp.nstr(mo.average(x).main, 30) == mp.nstr(want, 30)
+
 
 class TestMainTerm:
     def test_k1_coefficient_is_one_over_5_sqrt3(self):

@@ -38,8 +38,12 @@ COMMANDS = (
     ("moments", "--k", "7"),
 )
 CASES = [(*command, "--x", str(x), *mode) for command in COMMANDS for x in XS for mode in MODES]
+CASES += [("average", "--x", str(x)) for x in XS]
+# fit scans up to each snapshot point in turn; the pooled cases' chunks straddle them
 CASES += [
     ("fit", "--k", "2", "--xs", "1000,10000,100000,1000000"),
+    ("fit", "--k", "2", "--xs", "1000,10000,100000,1000000", "--workers", "2", "--chunk", "4096"),
+    ("fit", "--k", "3", "--xs", "1000,5000,70000,300000", "--workers", "2", "--chunk", "10007"),
     ("sandwich", "--x", "20000", "--k", "1", "--L", "2097152"),
     ("sandwich", "--x", "20000", "--k", "2", "--L", "2097152"),
     ("sandwich", "--x", "20000", "--k", "3", "--L", "2097152"),
