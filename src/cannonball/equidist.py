@@ -462,17 +462,19 @@ def _histogram_part(bins: int, s: int, f: np.ndarray, d: np.ndarray) -> tuple[_B
 
 
 def doubled_distance_points(x: int, bits: int = DEFAULT_BITS) -> PhasePoints:
-    """The sequence 2*|sqrt(P_n) - y_n| for n <= x as points in [0, 1).
+    """The doubled distances 2|sqrt(P_n) - y_n| for n <= x as exact points of min(bits, 95) bits.
 
     Used to control histogram deviations through the discrepancy of the
-    doubled distances.  The below/above-half split is exact (top limb
-    against 2^31); float values that round up to 1.0 are pulled one ulp
-    down since the true values are strictly below 1, and the floats are
-    then taken as exact 96-bit points (as_phase_points).
+    doubled distances.  With W = floor(2^96 v) the table word of
+    v = {sqrt(P_n)}, floor(2^95 * 2v) = W below the half (top limb below
+    2^31), and floor(2^95 (2 - 2v)) = 2^96 - 1 - W, the limb complement,
+    above it, since 2^96 v is irrational unless d = 0, where W = 0.  That
+    95-bit value shifted left by one bit across the limbs is a word whose
+    top b = min(bits, 95) bits are floor(2^b * 2|sqrt(P_n) - y_n|): no
+    float operation enters.
     """
-    pts = sqrt_frac_points(x, bits)
-    values = pts.values
-    below = pts.words[:, 2] < (1 << 31)  # bits >= 32 never clears the top limb
-    vals = np.where(below, 2.0 * values, 2.0 * (1.0 - values))
-    vals[vals >= 1.0] = np.nextafter(1.0, 0.0)
-    return as_phase_points(vals)
+    w = sqrt_frac_points(x, bits).words
+    w = np.where(w[:, 2:] < 1 << 31, w, _MASK32 - w)
+    words = (w << 1) & _MASK32
+    words[:, 1:] |= w[:, :-1] >> 31
+    return PhasePoints(words, min(bits, _WIDTH - 1))

@@ -355,24 +355,11 @@ def _two_sum(a, b):
     return s, (a - (s - bb)) + (b - bb)
 
 
-def _fast_two_sum(a, b):
-    """(s, e) with s = fl(a + b) and s + e = a + b exactly, for |a| >= |b| (Dekker)."""
-    s = a + b
-    return s, b - (s - a)
-
-
 def _split(a):
     """Veltkamp's split of a into two halves of at most 26 significant bits each."""
     g = 134217729.0 * a  # 2^27 + 1
     hi = g - (g - a)
     return hi, a - hi
-
-
-def _two_square(a):
-    """_two_prod(a, a) with one split: ah * al doubled is exact, so one addition replaces two."""
-    p = a * a
-    ah, al = _split(a)
-    return p, ((ah * ah - p) + 2.0 * ah * al) + al * al
 
 
 def _two_prod(a, b):
@@ -395,27 +382,29 @@ def _signed_delta(f: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     doubles; the value is {sqrt(p)} below the half and {sqrt(p)} - 1 above
     it, so |value| = delta = |sqrt(p) - y| (_distances).  A double word is
     an unevaluated sum hi + lo with |lo| <= ulp(hi) / 2.  With u = 2^-53 and
-    s = sqrt(p), every step is exact (Knuth's two_sum, Dekker's fast_two_sum
-    and two_prod with Veltkamp's split, Numer. Math. 18, 1971) or rounds
-    once, by a factor 1 + t with |t| <= u:
+    s = sqrt(p), every step is exact (Knuth's two_sum, and Dekker's two_prod
+    with Veltkamp's split, Numer. Math. 18, 1971, each returning the one
+    exact error term whatever the order of its operands) or rounds once, by
+    a factor 1 + t with |t| <= u:
 
-    * p = ph + pl exactly: f^2 by _two_square, plus d, whose sum with the
+    * p = ph + pl exactly: f^2 by two_prod, plus d, whose sum with the
       low part (integers below 2^52) is exact, then two_sum;
     * s0 = fl(sqrt(ph)) is within 1.5u s, and one Newton step
       s0 + r / (2 s0) on r = p - s0^2 would leave (s0 - s)^2 / (2 s0) <=
-      1.13u^2 s.  With s0^2 = qh + ql by _two_square, ph - qh is exact
+      1.13u^2 s.  With s0^2 = qh + ql by two_prod, ph - qh is exact
       (Sterbenz), pl - ql rounds by at most u * 2u p and the sum by
       u * 3u p, so r is within 5u^2 p; dividing by 2 s0 adds 1.5u^2 s: the
       corrected root is within (1.13 + 2.5 + 1.5)u^2 s = 5.13u^2 s of s;
     * D = y + s: two_sum(y, s0) is exact, its low part (at most uD) takes
-      the correction in one rounding, u(uD + 1.5us), and fast_two_sum
+      the correction in one rounding, u(uD + 1.5us), and two_sum
       renormalizes: with s < D, D' = Dh + Dl is within 7.7u^2 D of D;
     * a / D' by one corrected division: q1 = fl(a / Dh); with
       q1 Dh = m1 + m2 by two_prod, a - m1 is exact (Sterbenz); the
       remainder a - q1 D' (at most 2u|a|) is formed with three roundings,
       u^2|a| + u^2|a| + 2u^2|a|, and q2 = fl(remainder / Dh) adds 2u^2|a| / D'
       for dividing by Dh instead of D' and 2u^2|a| / D' for its rounding:
-      q1 + q2 is within 8u^2 |a| / D' of a / D'.
+      q1 + q2 is within 8u^2 |a| / D' of a / D', and two_sum renormalizes
+      it exactly.
 
     With the 7.7u^2 of D', hi + lo is within 15.7u^2 delta of the value,
     below 16u^2 delta with the second-order terms dropped above.
@@ -424,15 +413,15 @@ def _signed_delta(f: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     ff = f.astype(np.float64)
     y = ff + above
     a = (d - above * (2 * f + 1)).astype(np.float64)
-    sq, sql = _two_square(ff)
+    sq, sql = _two_prod(ff, ff)
     ph, pl = _two_sum(sq, sql + d)
     s0 = np.sqrt(ph)
-    qh, ql = _two_square(s0)
+    qh, ql = _two_prod(s0, s0)
     th, tl = _two_sum(y, s0)
-    dh, dl = _fast_two_sum(th, tl + ((ph - qh) + (pl - ql)) / (2.0 * s0))
+    dh, dl = _two_sum(th, tl + ((ph - qh) + (pl - ql)) / (2.0 * s0))
     q1 = a / dh
     m1, m2 = _two_prod(q1, dh)
-    return _fast_two_sum(q1, (((a - m1) - m2) - q1 * dl) / dh)
+    return _two_sum(q1, (((a - m1) - m2) - q1 * dl) / dh)
 
 
 def _frac_words(f: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, int]:

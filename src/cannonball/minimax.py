@@ -254,6 +254,8 @@ def solve_exponents(F: Monomial, gs: Sequence[Monomial], variable: str) -> MinMa
     ef = F.exponent(variable)
     if ef >= 0:
         raise InvalidProblemError(f"F must have a negative {variable}-exponent, got {ef}")
+    if not gs:
+        raise InvalidProblemError("need at least one G to balance F against")
     crossings = []
     for j, g in enumerate(gs):
         eg = g.exponent(variable)

@@ -141,9 +141,13 @@ def power_sums_at(xs, ks, workers: int = 1, chunk: int = 1 << 16,
     after each merged chunk.
     """
     xs = sorted(set(int(x) for x in xs))
+    if not xs:
+        raise ValueError("xs is empty: need at least one snapshot point")
     if xs[0] < 1:
         raise ValueError("snapshot points must be >= 1")
     ks = tuple(ks)
+    if not ks:
+        raise ValueError("ks is empty: need at least one moment order")
     for k in ks:
         _check_k(k)
     if xs[0] < min(start_n, xs[-1]):

@@ -6,7 +6,7 @@ import pytest
 
 from cannonball import equidist as eq
 from cannonball import exactseq as xs
-from conftest import brute_exp_sum
+from conftest import brute_exp_sum, oracle_term
 
 
 def brute_star_discrepancy(points):
@@ -296,3 +296,22 @@ class TestDoubledDistances:
         wide = eq.doubled_distance_points(300)
         narrow = eq.doubled_distance_points(300, bits=40)
         assert np.abs(wide.values - narrow.values).max() < 1e-9
+
+    @pytest.mark.parametrize("bits", [96, 48, 32])
+    def test_words_match_big_int_oracle(self, bits):
+        """Point n is floor(2^b * 2 delta_n), b = min(bits, 95), limb for limb."""
+        x, b = 20000, min(bits, 95)
+        pts = eq.doubled_distance_points(x, bits)
+        assert pts.bits == b
+        want = []
+        for n in range(1, x + 1):
+            p, y, _ = oracle_term(n)
+            r = math.isqrt(p << 2 * (b + 1))  # floor(2^(b+1) sqrt(p))
+            # above the half 2^(b+1) sqrt(p) is irrational, so its ceiling is r + 1
+            m = r - (y << b + 1) if y * y <= p else (y << b + 1) - r - 1
+            want.append(m << (96 - b))
+        assert np.array_equal(pts.limbs, xs._limbs(want))
+
+    def test_low_bit_points_keep_their_precision_budget(self):
+        with pytest.raises(eq.PrecisionError):
+            eq.erdos_turan(eq.doubled_distance_points(1000, 32), 1)

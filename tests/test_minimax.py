@@ -164,6 +164,8 @@ class TestSolveExponents:
         F = mm.Monomial({"K": -1})
         with pytest.raises(mm.InvalidProblemError):
             mm.solve_exponents(F, [mm.Monomial({"K": -2})], "K")
+        with pytest.raises(mm.InvalidProblemError, match="at least one G"):
+            mm.solve_exponents(F, [], "K")
 
     def test_no_crossing_and_boundary_cases(self):
         F = mm.Monomial({"K": -1}, coeff_log=0.0)

@@ -103,6 +103,16 @@ class TestMoment:
         for x in grid:
             assert table[x] == mo.power_sums(x, (1, 2))
 
+    def test_empty_snapshot_points_rejected(self):
+        with pytest.raises(ValueError, match="xs is empty"):
+            mo.power_sums_at([], (1,))
+
+    @pytest.mark.parametrize("call", [lambda: mo.power_sums_at([10], ()),
+                                      lambda: mo.power_sums(10, [])])
+    def test_empty_orders_rejected(self, call):
+        with pytest.raises(ValueError, match="ks is empty"):
+            call()
+
     def test_resume_midway_matches(self):
         full = mo.power_sums(5000, (1,))
         first = mo.power_sums(2500, (1,))

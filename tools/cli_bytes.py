@@ -56,6 +56,8 @@ CASES += [("moments", "--x", "4000000", "--k", k) for k in ("2", "3")]
 CASES += [("discrepancy", "--x", str(x), *k, "--bits", bits)
           for x in (1000, 150000) for k in ((), ("--K", "100")) for bits in ("96", "48")]
 CASES += [("discrepancy", "--x", "1000", "--K", "40000")]
+# the word table at the headline size, built through the double-word kernel
+CASES += [("discrepancy", "--x", "1000000", "--K", "100")]
 CASES += [("weyl", "--x", "150000", "--m-max", "20", "--bits", bits) for bits in ("96", "40", "32")]
 CASES += [("knbound", "--x", "150000", "--m-max", "5", "--bits", bits) for bits in ("96", "64")]
 # terms: both formats, shifted starts, a pool whose spans cut sub-blocks, the
