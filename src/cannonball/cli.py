@@ -13,12 +13,20 @@ cadence are deliberately not part of the fingerprint).
 
 emit is the one writer.  terms formats each chunk of rows straight from
 the (f, d) kernel into one string, and emit writes each chunk as it
-arrives, so memory does not grow with the range; the other commands' few
-dict rows (never none) are rendered into one chunk, whose CSV header is
-the first row's keys.  A file is written to FILE.tmp and renamed over
-FILE only when complete: on any error the .tmp file is removed and an
-existing FILE keeps its bytes.  A reader that closes stdout early
-(`| head`) ends the run quietly, with status 0.
+arrives, so memory does not grow with the range.  An int64 kernel
+sub-block is formatted whole in numpy: each integer becomes base-10^4
+digit groups, one 4-byte word each from a 20001-word table whose second
+half writes leading zeros as NUL, the literal pieces become NUL-padded
+words, and the text is the bytes of one rows-by-words uint32 array with
+its NULs deleted; p = f^2 + d, past int64 from n = 3024617, is built as
+two base-10^16 limbs.  Object sub-blocks past FD_CAP keep one f-string
+per row, the exact reference of the vector path (see _terms_text).
+
+The other commands' few dict rows (never none) are rendered into one
+chunk, whose CSV header is the first row's keys.  A file is written to
+FILE.tmp and renamed over FILE only when complete: on any error the .tmp
+file is removed and an existing FILE keeps its bytes.  A reader that
+closes stdout early (`| head`) ends the run quietly, with status 0.
 
 Exit status: 0 on success, 2 for bad input, 3 for a checkpoint written by
 another configuration, 4 when a result fails its own self-check (the
@@ -39,6 +47,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 import mpmath as mp
+import numpy as np
 
 from . import equidist, exactseq, minimax, moments
 
@@ -236,22 +245,120 @@ def _terms_text(span: tuple) -> str:
     a = 2f + 1 - d.  A CSV row is what csv.DictWriter writes for it: no
     field needs quoting, and the line ends in CRLF.  JSON rows are the
     array elements json.dump(rows, indent=2) writes, "n" a bare int and the
-    other fields strings, joined by a comma and a newline.  Module-level,
-    so a pool can pickle it.
+    other fields strings, joined by a comma and a newline: every row is
+    written with a trailing ",\n" and the span drops its last two
+    characters.  Module-level, so a pool can pickle it.
+
+    Each int64 kernel sub-block is formatted whole in numpy by _vector_rows:
+    every integer becomes base-10^4 digit groups looked up in the one word
+    table _DIGITS, the literal text becomes NUL-padded 4-byte words, and
+    the NULs are deleted from the bytes at the end.  Object sub-blocks past
+    FD_CAP take _object_rows, one f-string per row: the exact fallback,
+    and the reference the vector path matches byte for byte.
     """
     out_format, lo, hi = span
     is_csv = out_format == "csv"
+    parts = [(_object_rows if fs.dtype == object else _vector_rows)(s, fs, ds, is_csv)
+             for s, fs, ds in exactseq.fd_blocks(lo, hi)]
+    if not is_csv:
+        parts[-1] = parts[-1][:-2]
+    return "".join(parts)
+
+
+def _object_rows(s: int, fs, ds, is_csv: bool) -> str:
+    """The rows of one sub-block, one Python f-string each: exact for any (f, d)."""
     below, above = exactseq.Side.BELOW_HALF.value, exactseq.Side.ABOVE_HALF.value
     rows = []
-    for s, fs, ds in exactseq.fd_blocks(lo, hi):
-        for n, f, d, low in zip(range(s, hi + 1), fs.tolist(), ds.tolist(), (ds <= fs).tolist()):
-            y, a, side = (f, d, below) if low else (f + 1, 2 * f + 1 - d, above)
-            if is_csv:
-                rows.append(f"{n},{f * f + d},{f},{y},{a},{side}\r\n")
-            else:
-                rows.append(f'  {{\n    "n": {n},\n    "p": "{f * f + d}",\n    "f": "{f}",\n'
-                            f'    "y": "{y}",\n    "a": "{a}",\n    "side": "{side}"\n  }}')
-    return ("" if is_csv else ",\n").join(rows)
+    for n, f, d in zip(range(s, s + len(fs)), fs.tolist(), ds.tolist()):
+        y, a, side = (f, d, below) if d <= f else (f + 1, 2 * f + 1 - d, above)
+        if is_csv:
+            rows.append(f"{n},{f * f + d},{f},{y},{a},{side}\r\n")
+        else:
+            rows.append(f'  {{\n    "n": {n},\n    "p": "{f * f + d}",\n    "f": "{f}",\n'
+                        f'    "y": "{y}",\n    "a": "{a}",\n    "side": "{side}"\n  }},\n')
+    return "".join(rows)
+
+
+def _words(text: str) -> np.ndarray:
+    """text's ASCII bytes, NUL-padded to whole 4-byte words, as uint32 words."""
+    raw = text.encode()
+    return np.frombuffer(raw + b"\0" * (-len(raw) % 4), np.uint32)
+
+
+def _digit_table() -> np.ndarray:
+    """The 20001 words of _DIGITS: r in [0, 10^4) as four digits, then r with
+    its leading zeros as NUL (0 as "0"), then four NULs."""
+    r = np.arange(10000)
+    digits = (r[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    width = 1 + (r >= 10).astype(int) + (r >= 100) + (r >= 1000)
+    bare = np.where(np.arange(4) < 4 - width[:, None], 0, digits).astype(np.uint8)
+    return np.concatenate([digits, bare, np.zeros((1, 4), np.uint8)]).view(np.uint32).ravel()
+
+
+_DIGITS = _digit_table()
+# _OFFSETS[k, g]: the _DIGITS offset of group k (0 the least significant) of a
+# value spelling g groups: 0 inside it, 10000 on its leading group, 20000
+# above it.  g = 0 prints nothing, and g >= 5 prints all four groups whole.
+_OFFSETS = 10000 * np.clip(np.arange(4)[:, None] - np.arange(9) + 2, 0, 2)
+_THRESHOLDS = 10 ** np.array([4, 8, 12])
+# the literal text before each of the six columns n, p's high and low limbs,
+# f, y, a, and after a (below, above the half)
+_CSV_WORDS = ([_words(t) for t in ("", ",", "", ",", ",", ",")],
+              [_words(f",{side.value}\r\n") for side in exactseq.Side])
+_JSON_WORDS = ([_words(t) for t in ('  {\n    "n": ', ',\n    "p": "', "", '",\n    "f": "',
+                                    '",\n    "y": "', '",\n    "a": "')],
+               [_words(f'",\n    "side": "{side.value}"\n  }},\n') for side in exactseq.Side])
+
+
+def _vector_rows(s: int, f: np.ndarray, d: np.ndarray, is_csv: bool) -> str:
+    """The rows of one int64 kernel sub-block, formatted as whole columns.
+
+    The text is built in a (words, rows) uint32 array m, one 4-byte word
+    per entry: the literal pieces as NUL-padded words, and each integer
+    column as its base-10^4 groups, most significant first.  Group k (0 the
+    least significant), holding r, of a value spelling g groups (counted
+    against _THRESHOLDS) is the word _DIGITS[r + _OFFSETS[k, g]]: four
+    digits inside the value, its leading zeros as NUL on the leading group,
+    four NULs above it, so a zero prints "0".  A column takes only the
+    groups its widest value needs.  The rows of m.T, with every NUL
+    deleted, are the text: no output character is NUL.
+
+    p = f^2 + d passes 2^63 at n = 3024617, so it is built as two base-10^16
+    limbs: with f = fh 10^8 + fl and 2 fh fl = ch 10^8 + cl, t = fl^2 + d +
+    cl 10^8 and p = (fh^2 + ch + t // 10^16) 10^16 + t mod 10^16.  Kernel
+    blocks have f < 5.8e14 < 2^50 and d <= 2f, so fh < 5.8e6, 2 fh fl <
+    1.2e15, t < 2.2e16 and the high limb is below 3.4e13: every step is
+    exact in int64.  A zero high limb prints nothing (g = 0), and under a
+    nonzero one the low limb prints all sixteen digits (g >= 5); the high
+    limb turns nonzero at n = 310723, where P_n passes 10^16.
+    """
+    heads, tails = _CSV_WORDS if is_csv else _JSON_WORDS
+    low = d <= f
+    fh = f // 10**8
+    fl = f - fh * 10**8
+    c = 2 * fh * fl
+    ch = c // 10**8
+    t = fl * fl + d + (c - ch * 10**8) * 10**8
+    carry = t // 10**16
+    phi = fh * fh + ch + carry
+    values = (np.arange(s, s + len(f), dtype=np.int64), phi, t - carry * 10**16,
+              f, f + ~low, np.where(low, d, 2 * f + 1 - d))
+    groups = [np.searchsorted(_THRESHOLDS, v, side="right") + 1 for v in values]
+    high = phi > 0
+    groups[1] *= high
+    groups[2] += 4 * high
+    widths = [min(int(g.max()), 4) for g in groups]
+    m = np.empty((sum(map(len, heads)) + sum(widths) + len(tails[0]), len(f)), np.uint32)
+    j = 0
+    for head, v, g, w in zip(heads, values, groups, widths):
+        m[j:j + len(head)] = head[:, None]
+        j += len(head) + w
+        for k in range(w):
+            q = v // 10000
+            np.take(_DIGITS, v - 10000 * q + _OFFSETS[k, g], out=m[j - 1 - k])
+            v = q
+    m[j:] = np.where(low, tails[0][:, None], tails[1][:, None])
+    return m.T.tobytes().translate(None, b"\0").decode()
 
 
 def _cmd_moments(cfg: RunConfig):

@@ -187,23 +187,25 @@ def sqrt_frac_points(n: int, bits: int = DEFAULT_BITS, lo: int = 1) -> PhasePoin
 
 
 def as_phase_points(points, bits: int = DEFAULT_BITS) -> PhasePoints:
-    """Coerce raw floats or FixedFrac values into a PhasePoints set.
+    """Coerce a PhasePoints set, raw floats or FixedFrac values into a PhasePoints set
+    at min(own precision, bits).
 
-    FixedFrac points keep their own precision.  Floats become exact 96-bit
-    points (see _float_limbs) whatever `bits` is, and a float outside
-    [0, 1), NaN included, raises ValueError.
+    A PhasePoints set comes back as a view of its words (block() clears the
+    low bits), FixedFrac points keep their own precision up to `bits`, and
+    floats become exact 96-bit words (see _float_limbs) read at `bits`; a
+    float outside [0, 1), NaN included, raises ValueError.
     """
     check_bits(bits)
     if isinstance(points, PhasePoints):
-        return points
+        return PhasePoints(points.words, min(points.bits, bits))
     seq = list(points)
     if seq and isinstance(seq[0], FixedFrac):
         b = seq[0].bits
         if any(ff.bits != b for ff in seq):
             raise ValueError("mixed fixed-point precisions in one point set")
         check_bits(b)
-        return PhasePoints(_limbs([ff.mantissa << (_WIDTH - b) for ff in seq]), b)
-    return PhasePoints(_float_limbs(np.asarray(seq, np.float64)), _WIDTH)
+        return PhasePoints(_limbs([ff.mantissa << (_WIDTH - b) for ff in seq]), min(b, bits))
+    return PhasePoints(_float_limbs(np.asarray(seq, np.float64)), bits)
 
 
 def _check_harmonic(name: str, m: int, bits: Optional[int] = None) -> None:

@@ -17,7 +17,8 @@ from typing import Callable, Optional, Sequence
 
 
 class InvalidProblemError(ValueError):
-    """Sampled monotonicity check failed."""
+    """The problem is malformed: an empty G list, a bad domain or exponent, or a
+    sampled monotonicity check that failed."""
 
 
 class UnsolvableCrossingError(ValueError):
@@ -161,9 +162,9 @@ class MinMaxProblem:
     def __post_init__(self):
         lo, hi = self.domain
         if not (0 < lo < hi):
-            raise ValueError("domain must be a positive interval (lo, hi)")
+            raise InvalidProblemError("domain must be a positive interval (lo, hi)")
         if not self.gs:
-            raise ValueError("need at least one increasing function")
+            raise InvalidProblemError("need at least one increasing function")
 
 
 @dataclass(frozen=True)

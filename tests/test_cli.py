@@ -6,7 +6,10 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cannonball import cli
 from cannonball import exactseq as xs
@@ -62,6 +65,16 @@ def terms_reference(lo, hi, out_format):
 CROSS_2_64 = (3_809_000, 3_812_000)
 # the kernel's int64 path below FD_CAP, its object-array fallback above
 STRADDLE_FD_CAP = (xs.FD_CAP - 10, xs.FD_CAP + 10)
+# one sub-block across n = 310723, where P_n passes 10^16 and p gains its high limb
+CROSS_10_16 = (308_000, 312_000)
+# P_n passes 2^63 at n = 3024617
+CROSS_2_63 = (3_022_000, 3_026_000)
+
+
+def span_bytes(lo, hi, out_format):
+    """The terms output of [lo, hi] from one _terms_text span, as the CLI writes it."""
+    text = cli._terms_text((out_format, lo, hi))
+    return "".join(cli._terms_chunks(out_format, iter([text]))).encode()
 
 
 class TestTermsStream:
@@ -135,6 +148,72 @@ class TestTermsStream:
         assert len(spans) == 2
         assert dest.read_bytes() == b"old bytes"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
+class TestTermsVector:
+    """The numpy formatting of int64 sub-blocks against the per-row reference."""
+
+    def test_crossing_points_are_where_the_ranges_say(self):
+        assert xs.pyramidal(310_722) < 10**16 <= xs.pyramidal(310_723)
+        assert xs.pyramidal(3_024_616) < 2**63 <= xs.pyramidal(3_024_617)
+        lo, hi = CROSS_10_16
+        assert lo < 310_723 <= hi < lo + xs.SUB_BLOCK
+        lo, hi = CROSS_2_63
+        assert lo < 3_024_617 <= hi < lo + xs.SUB_BLOCK
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    @pytest.mark.parametrize("lo, hi", [
+        CROSS_10_16, CROSS_2_63, (1, 30), (24, 24), (9_990, 10_010), (99_990, 100_010),
+        (999_990, 1_000_010), (99_999_990, 100_000_010), (xs.FD_CAP - 5000, xs.FD_CAP),
+    ], ids=["cross_10_16", "cross_2_63", "squares", "square_24", "n_10_4", "n_10_5",
+            "n_10_6", "n_10_8", "n_10_10"])
+    def test_bytes_equal_reference(self, lo, hi, out_format):
+        assert span_bytes(lo, hi, out_format) == terms_reference(lo, hi, out_format)
+
+    @settings(max_examples=40)
+    @given(lo=st.integers(1, xs.FD_CAP), length=st.integers(1, 2 * xs.SUB_BLOCK + 100),
+           out_format=st.sampled_from(["csv", "json"]))
+    def test_drawn_ranges_equal_reference(self, lo, length, out_format):
+        hi = min(lo + length - 1, xs.FD_CAP)
+        assert span_bytes(lo, hi, out_format) == terms_reference(lo, hi, out_format)
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_pool_spans_cut_the_10_16_crossing(self, tmp_path, out_format):
+        lo, hi = 300_000, 320_000
+        path = tmp_path / "t.out"
+        assert cli.main(["terms", "--range", f"{lo}:{hi}", "--out", out_format, "--workers", "2",
+                         "--chunk", "4097", "--output", str(path)]) == 0
+        assert path.read_bytes() == terms_reference(lo, hi, out_format)
+
+    @pytest.mark.parametrize("is_csv", [True, False])
+    def test_vector_rows_equal_object_rows(self, is_csv):
+        """Both paths give the same text for the same kernel sub-blocks."""
+        for s in (1, 300_000, 310_000, 3_024_000, xs.FD_CAP - xs.SUB_BLOCK + 1):
+            f, d = xs.block_fd(s, s + xs.SUB_BLOCK - 1)
+            assert f.dtype == np.int64
+            assert (cli._vector_rows(s, f, d, is_csv)
+                    == cli._object_rows(s, f.astype(object), d.astype(object), is_csv))
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_straddle_takes_both_paths(self, monkeypatch, out_format):
+        """A span whose sub-blocks meet at FD_CAP: the kernel block, then the object block."""
+        calls = []
+        for name in ("_vector_rows", "_object_rows"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda s, *a, real=real, name=name:
+                                calls.append((name, s)) or real(s, *a))
+        lo, hi = xs.FD_CAP - xs.SUB_BLOCK + 1, xs.FD_CAP + 10
+        assert span_bytes(lo, hi, out_format) == terms_reference(lo, hi, out_format)
+        kernel = [s for name, s in calls if name == "_vector_rows"]
+        fallback = [s for name, s in calls if name == "_object_rows"]
+        assert kernel == [lo] and fallback == [xs.FD_CAP + 1]
+
+    def test_no_nul_in_the_words_of_a_row(self):
+        """The literal words hold no NUL but their padding, so deleting NULs is exact."""
+        for heads, tails in (cli._CSV_WORDS, cli._JSON_WORDS):
+            for words in (*heads, *tails):
+                text = words.tobytes()
+                assert b"\0" not in text.rstrip(b"\0") and len(text) - len(text.rstrip(b"\0")) < 4
 
 
 class TestMoments:

@@ -92,6 +92,17 @@ class TestSolveNumeric:
         with pytest.raises(mm.InvalidProblemError):
             mm.solve_numeric(decreasing_g, 1e-6)
 
+    @pytest.mark.parametrize("gs, domain, match", [
+        ([], (0.1, 10), "at least one"),
+        ([lambda t: t], (0.0, 10), "positive interval"),
+        ([lambda t: t], (-1.0, 10), "positive interval"),
+        ([lambda t: t], (10, 0.1), "positive interval"),
+    ])
+    def test_malformed_problem_is_invalid_problem(self, gs, domain, match):
+        # the same class solve_exponents raises for an empty G list
+        with pytest.raises(mm.InvalidProblemError, match=match):
+            mm.MinMaxProblem(lambda t: 1 / t, gs, domain)
+
     def test_missing_sign_change_names_index(self):
         pr = mm.MinMaxProblem(lambda t: 1 / t, [lambda t: t, lambda t: t + 100], (1.0, 5.0))
         with pytest.raises(mm.UnsolvableCrossingError) as exc:

@@ -70,6 +70,34 @@ def test_fixedfrac_points_match_the_table(bits):
     assert eq.erdos_turan(ffs, 10) == eq.erdos_turan(eq.sqrt_frac_points(n, bits), 10)
 
 
+def test_erdos_turan_reads_points_at_its_bits():
+    """bits caps the precision of every input kind, so the 1e-12 budget follows it."""
+    n = 1000
+    with pytest.raises(eq.PrecisionError):
+        eq.erdos_turan(eq.sqrt_frac_points(n, 32), 10)
+    with pytest.raises(eq.PrecisionError):
+        eq.erdos_turan(eq.sqrt_frac_points(n), 10, bits=32)
+    with pytest.raises(eq.PrecisionError):
+        eq.erdos_turan([xs.frac_sqrt(i, 96) for i in range(1, n + 1)], 10, bits=32)
+    want = eq.erdos_turan(eq.sqrt_frac_points(n, 48), 10)
+    assert eq.erdos_turan(eq.sqrt_frac_points(n), 10, bits=48) == want
+    assert eq.erdos_turan([xs.frac_sqrt(i, 96) for i in range(1, n + 1)], 10, bits=48) == want
+    # a coarser set keeps its own precision under a finer bits
+    assert eq.erdos_turan(eq.sqrt_frac_points(n, 48), 10, bits=96) == want
+
+
+@pytest.mark.parametrize("bits", [32, 48, 96])
+def test_as_phase_points_takes_the_lower_precision(bits):
+    pts = eq.sqrt_frac_points(100)
+    view = eq.as_phase_points(pts, bits)
+    assert view.bits == bits and view.words is pts.words
+    assert view.limbs.tobytes() == eq.sqrt_frac_points(100, bits).limbs.tobytes()
+    floats = eq.as_phase_points([0.1, 0.7], bits)
+    assert floats.bits == bits
+    full = eq.as_phase_points([0.1, 0.7])
+    assert floats.limbs.tobytes() == eq.PhasePoints(full.words, bits).limbs.tobytes()
+
+
 def test_mixed_precisions_rejected():
     with pytest.raises(ValueError, match="mixed"):
         eq.erdos_turan([xs.frac_sqrt(5, 64), xs.frac_sqrt(6, 96)], 10)

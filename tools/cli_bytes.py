@@ -72,6 +72,16 @@ CASES += [
     ("terms", "--range", "9999999000:10000001000", "--workers", "2", "--chunk", "4097"),
     ("terms", "--range", "9999999990:10000000010", "--out", "json", "--chunk", "7"),
 ]
+# terms across n = 310723, where P_n passes 10^16 (a pool span cuts it), and
+# across n = 3024617, where P_n passes 2^63
+CASES += [
+    ("terms", "--range", "300000:320000"),
+    ("terms", "--range", "300000:320000", "--out", "json"),
+    ("terms", "--range", "300000:320000", "--workers", "2", "--chunk", "4097"),
+    ("terms", "--range", "300000:320000", "--out", "json", "--workers", "2", "--chunk", "4097"),
+    ("terms", "--range", "3020000:3030000"),
+    ("terms", "--range", "3020000:3030000", "--out", "json"),
+]
 
 
 def run_case(tree: Path, args, out: Path) -> tuple[int, bytes]:
