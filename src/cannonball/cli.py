@@ -287,11 +287,13 @@ def _words(text: str) -> np.ndarray:
 
 def _digit_table() -> np.ndarray:
     """The 20001 words of _DIGITS: r in [0, 10^4) as four digits, then r with
-    its leading zeros as NUL (0 as "0"), then four NULs."""
-    r = np.arange(10000)
-    digits = (r[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
-    width = 1 + (r >= 10).astype(int) + (r >= 100) + (r >= 1000)
-    bare = np.where(np.arange(4) < 4 - width[:, None], 0, digits).astype(np.uint8)
+    its leading zeros as NUL (0 as "0"), then four NULs.  Built in uint8,
+    so the build adds little to the import's peak memory."""
+    d = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    digits = np.stack(np.meshgrid(d, d, d, d, indexing="ij"), axis=-1).reshape(10000, 4)
+    lead = np.logical_and.accumulate(digits == ord("0"), axis=1)
+    lead[:, 3] = False
+    bare = np.where(lead, np.uint8(0), digits)
     return np.concatenate([digits, bare, np.zeros((1, 4), np.uint8)]).view(np.uint32).ravel()
 
 
