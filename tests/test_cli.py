@@ -71,6 +71,17 @@ CROSS_10_16 = (308_000, 312_000)
 CROSS_2_63 = (3_022_000, 3_026_000)
 
 
+def assert_same_bytes(got, want):
+    """got == want, naming the first differing line: pytest's own diff of
+    megabytes of output would take minutes."""
+    if got != want:
+        i = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        line = got.rfind(b"\n", 0, i) + 1
+        pytest.fail(f"first difference at byte {i}: got {got[line:i + 40]!r}, "
+                    f"want {want[line:i + 40]!r}")
+
+
 def span_bytes(lo, hi, out_format):
     """The terms output of [lo, hi] from one _terms_text span, as the CLI writes it."""
     text = cli._terms_text((out_format, lo, hi))
@@ -168,14 +179,14 @@ class TestTermsVector:
     ], ids=["cross_10_16", "cross_2_63", "squares", "square_24", "n_10_4", "n_10_5",
             "n_10_6", "n_10_8", "n_10_10"])
     def test_bytes_equal_reference(self, lo, hi, out_format):
-        assert span_bytes(lo, hi, out_format) == terms_reference(lo, hi, out_format)
+        assert_same_bytes(span_bytes(lo, hi, out_format), terms_reference(lo, hi, out_format))
 
     @settings(max_examples=40)
     @given(lo=st.integers(1, xs.FD_CAP), length=st.integers(1, 2 * xs.SUB_BLOCK + 100),
            out_format=st.sampled_from(["csv", "json"]))
     def test_drawn_ranges_equal_reference(self, lo, length, out_format):
         hi = min(lo + length - 1, xs.FD_CAP)
-        assert span_bytes(lo, hi, out_format) == terms_reference(lo, hi, out_format)
+        assert_same_bytes(span_bytes(lo, hi, out_format), terms_reference(lo, hi, out_format))
 
     @pytest.mark.parametrize("out_format", ["csv", "json"])
     def test_pool_spans_cut_the_10_16_crossing(self, tmp_path, out_format):
@@ -183,7 +194,7 @@ class TestTermsVector:
         path = tmp_path / "t.out"
         assert cli.main(["terms", "--range", f"{lo}:{hi}", "--out", out_format, "--workers", "2",
                          "--chunk", "4097", "--output", str(path)]) == 0
-        assert path.read_bytes() == terms_reference(lo, hi, out_format)
+        assert_same_bytes(path.read_bytes(), terms_reference(lo, hi, out_format))
 
     @pytest.mark.parametrize("is_csv", [True, False])
     def test_vector_rows_equal_object_rows(self, is_csv):
@@ -191,8 +202,9 @@ class TestTermsVector:
         for s in (1, 300_000, 310_000, 3_024_000, xs.FD_CAP - xs.SUB_BLOCK + 1):
             f, d = xs.block_fd(s, s + xs.SUB_BLOCK - 1)
             assert f.dtype == np.int64
-            assert (cli._vector_rows(s, f, d, is_csv)
-                    == cli._object_rows(s, f.astype(object), d.astype(object), is_csv))
+            assert_same_bytes(cli._vector_rows(s, f, d, is_csv).encode(),
+                              cli._object_rows(s, f.astype(object), d.astype(object),
+                                               is_csv).encode())
 
     @pytest.mark.parametrize("out_format", ["csv", "json"])
     def test_straddle_takes_both_paths(self, monkeypatch, out_format):
@@ -203,7 +215,7 @@ class TestTermsVector:
             monkeypatch.setattr(cli, name, lambda s, *a, real=real, name=name:
                                 calls.append((name, s)) or real(s, *a))
         lo, hi = xs.FD_CAP - xs.SUB_BLOCK + 1, xs.FD_CAP + 10
-        assert span_bytes(lo, hi, out_format) == terms_reference(lo, hi, out_format)
+        assert_same_bytes(span_bytes(lo, hi, out_format), terms_reference(lo, hi, out_format))
         kernel = [s for name, s in calls if name == "_vector_rows"]
         fallback = [s for name, s in calls if name == "_object_rows"]
         assert kernel == [lo] and fallback == [xs.FD_CAP + 1]
