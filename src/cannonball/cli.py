@@ -11,8 +11,8 @@ uninterrupted one.  A checkpoint refuses to resume under a configuration
 whose semantic fingerprint differs (worker count, chunk size and checkpoint
 cadence are deliberately not part of the fingerprint).
 
-emit is the one writer.  terms formats each chunk of rows straight from
-the (f, d) kernel into one string, and emit writes each chunk as it
+emit is the one writer.  terms formats each kernel sub-block of rows
+straight from (f, d) into one string, and emit writes each string as it
 arrives, so memory does not grow with the range.  An int64 kernel
 sub-block is formatted whole in numpy: each integer becomes base-10^4
 digit groups, one 4-byte word each from a 20001-word table whose second
@@ -225,29 +225,32 @@ def _cmd_terms(cfg: RunConfig):
 
 
 def _terms_chunks(out_format: str, texts):
-    """The terms output as text chunks: the span texts inside a CSV header or a JSON array."""
+    """The terms output as text chunks: each span's parts, in order, inside a CSV
+    header or a JSON array."""
     if out_format == "csv":
         yield "n,p,f,y,a,side\r\n"
-        yield from texts
+        for parts in texts:
+            yield from parts
         return
     yield "[\n"
-    yield next(texts)
-    for text in texts:
+    yield from next(texts)
+    for parts in texts:
         yield ",\n"
-        yield text
+        yield from parts
     yield "\n]\n"
 
 
-def _terms_text(span: tuple) -> str:
-    """The terms rows of one (out_format, lo, hi) span as one string, straight from (f, d).
+def _terms_text(span: tuple) -> list[str]:
+    """The terms rows of one (out_format, lo, hi) span, straight from (f, d), as
+    the list of its sub-blocks' strings, so no span is joined into one string.
 
     p = f^2 + d; below the half y = f and a = d, above it y = f + 1 and
     a = 2f + 1 - d.  A CSV row is what csv.DictWriter writes for it: no
     field needs quoting, and the line ends in CRLF.  JSON rows are the
     array elements json.dump(rows, indent=2) writes, "n" a bare int and the
     other fields strings, joined by a comma and a newline: every row is
-    written with a trailing ",\n" and the span drops its last two
-    characters.  Module-level, so a pool can pickle it.
+    written with a trailing ",\n" and the span's last part drops its last
+    two characters.  Module-level, so a pool can pickle it.
 
     Each int64 kernel sub-block is formatted whole in numpy by _vector_rows:
     every integer becomes base-10^4 digit groups looked up in the one word
@@ -262,7 +265,7 @@ def _terms_text(span: tuple) -> str:
              for s, fs, ds in exactseq.fd_blocks(lo, hi)]
     if not is_csv:
         parts[-1] = parts[-1][:-2]
-    return "".join(parts)
+    return parts
 
 
 def _object_rows(s: int, fs, ds, is_csv: bool) -> str:
@@ -593,6 +596,11 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"--range expects LO:HI, got {text!r}")
 
 
+# main's parser, built on its first call (a build takes 2-5 ms on a 2-vCPU
+# Xeon VM); parse_args leaves the parser as it found it
+_parser = None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cannonball",
@@ -704,8 +712,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         config = config_from_args(args)
     except ValueError as exc:

@@ -286,7 +286,8 @@ def _harmonic_sums(pts: PhasePoints, ms: Sequence[int]) -> tuple[np.ndarray, np.
         blk = pts.block(b)
         step = _rotations(blk, 1) if recur else None
         for j, r in runs:
-            z = _rotations(blk, ms[j])
+            # e(1 * x) is step itself, the same floats evaluated the same way
+            z = step.copy() if recur and ms[j] == 1 else _rotations(blk, ms[j])
             sums[j] += z.sum()
             for k in range(j + 1, j + r):
                 z *= step
@@ -406,10 +407,12 @@ def erdos_turan(points, K: int, bits: int = DEFAULT_BITS) -> DiscrepancyResult:
 
 
 def weyl_profile(N: int, m_max: int, bits: int = DEFAULT_BITS) -> list[tuple[int, float]]:
-    """|S_m(N)| / N for each harmonic m in [1, m_max]."""
+    """|S_m(N)| / N for each harmonic m in [1, m_max], under the same
+    fixed-point budget m_max 2^-bits < 1e-12 as exp_sum and erdos_turan."""
     if N < 1 or m_max < 1:
         raise ValueError("need N >= 1 and m_max >= 1")
-    _check_harmonic("m_max", m_max)
+    check_bits(bits)
+    _check_harmonic("m_max", m_max, bits)
     sums, _ = _harmonic_sums(sqrt_frac_points(N, bits), range(1, m_max + 1))
     return [(m, abs(s) / N) for m, s in zip(range(1, m_max + 1), sums.tolist())]
 

@@ -91,6 +91,27 @@ def test_cli_rejects_harmonic_count_above_cap(argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, needed", [
+    (["weyl", "--x", "1000", "--bits", "40"], "m_max=5 needs at least 43 fixed-point bits (have 40)"),
+    (["weyl", "--x", "1000", "--m-max", "20", "--bits", "32"],
+     "m_max=20 needs at least 45 fixed-point bits (have 32)"),
+    (["knbound", "--x", "1000", "--bits", "40"], "m=2 needs at least 41 fixed-point bits (have 40)"),
+    (["discrepancy", "--x", "1000", "--K", "5", "--bits", "40"],
+     "K=5 needs at least 43 fixed-point bits (have 40)"),
+])
+def test_cli_refuses_harmonics_past_the_precision_budget(capsys, argv, needed):
+    # weyl, knbound and discrepancy --K share one guard, |m| 2^-bits < 1e-12
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {needed}\n"
+    assert captured.out == ""
+
+
+def test_weyl_within_the_precision_budget_prints(capsys):
+    assert cli.main(["weyl", "--x", "1000", "--m-max", "5", "--bits", "43"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6
+
+
 @pytest.mark.parametrize("argv", [
     ["discrepancy", "--x", "1000", "--bits", "0"],
     ["discrepancy", "--x", "1000", "--K", "5", "--bits", "97"],

@@ -127,22 +127,26 @@ class TestMoment:
 
 
 class TestLimbPowerSums:
-    """The int64 limb sums of _power_sums_part against Python-int powers."""
+    """The int64 limb sums (k <= 3) and residue sums (k >= 4) of _power_sums_part
+    against Python-int powers."""
 
     def test_worst_case_full_sub_block(self):
-        # a = 2^50 - 1 on every index puts each limb column sum at its bound
+        # a = 2^50 - 1 on every index puts each limb column sum at its bound,
+        # and at k = 12 needs all 18 primes of the residue sums
         f = np.full(xs.SUB_BLOCK, 2**50 - 1, np.int64)
-        assert mo._power_sums_part((1, 2, 3), 1, f, f) == python_power_sums((1, 2, 3), f, f)
+        ks = tuple(range(1, mo.K_MAX + 1))
+        assert mo._power_sums_part(ks, 1, f, f) == python_power_sums(ks, f, f)
 
     @settings(max_examples=200, deadline=None)
     @given(kernel_blocks())
     def test_random_kernel_blocks(self, block):
         f, d = block
-        assert mo._power_sums_part((2, 3), 1, f, d) == python_power_sums((2, 3), f, d)
+        ks = tuple(range(2, mo.K_MAX + 1))
+        assert mo._power_sums_part(ks, 1, f, d) == python_power_sums(ks, f, d)
 
     def test_mixed_orders_keep_their_order(self):
         f, d = xs.block_fd(3_000_000, 3_000_000 + xs.SUB_BLOCK - 1)
-        ks = (3, 1, 7, 2)
+        ks = (3, 1, 7, 2, 12)
         assert mo._power_sums_part(ks, 3_000_000, f, d) == python_power_sums(ks, f, d)
 
     def test_object_blocks_past_fd_cap_match(self):
@@ -152,6 +156,58 @@ class TestLimbPowerSums:
         want = python_power_sums(ks, f, d)
         assert mo._power_sums_part(ks, 1, f, d) == want
         assert mo._power_sums_part(ks, 1, f.astype(np.int64), d.astype(np.int64)) == want
+
+
+def is_prime(n):
+    """Trial division by every q in [2, isqrt(n)]."""
+    return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+class TestResiduePowerSums:
+    """The CRT residue sums of _power_sums_part at k >= 4 against Python-int powers."""
+
+    HIGH = tuple(range(4, mo.K_MAX + 1))
+
+    def test_block_of_zeros(self):
+        f = np.full(xs.SUB_BLOCK, 12345, np.int64)
+        d = np.zeros(xs.SUB_BLOCK, np.int64)
+        assert mo._power_sums_part(self.HIGH, 1, f, d) == (0,) * len(self.HIGH)
+
+    @pytest.mark.parametrize("n", [2_400_639, 3_810_778], ids=["a_passes_primes", "p_passes_2_64"])
+    def test_kernel_sub_blocks_at_the_crossings(self, n):
+        # max(a) passes the smallest prime near n = 2400639 (a mod p is taken
+        # past it), and P_n passes 2^64 at n = 3810778
+        s = n - xs.SUB_BLOCK // 2
+        f, d = xs.block_fd(s, s + xs.SUB_BLOCK - 1)
+        assert f.dtype == np.int64
+        assert mo._power_sums_part(self.HIGH, s, f, d) == python_power_sums(self.HIGH, f, d)
+
+    def test_moduli_are_the_18_largest_primes_below_2_31(self):
+        primes = mo._PRIMES
+        assert len(set(primes)) == len(primes) == 18
+        assert all(is_prime(p) for p in primes)
+        assert [n for n in range(primes[-1], 2**31) if is_prime(n)] == sorted(primes)
+        # they cover the worst case below FD_CAP: 2^12 a^12 with a < 2^50
+        m, coeffs = mo._CRT[len(primes)]
+        assert m == (1 << 64) * math.prod(primes) > 2**12 * (2**50) ** 12
+        for i, q in enumerate((1 << 64, *primes)):
+            assert [c % q for c in coeffs] == [int(i == j) for j in range(len(coeffs))]
+
+    def test_no_python_pow_on_kernel_blocks(self, monkeypatch):
+        calls = []
+
+        def counting_pow(*args):
+            calls.append(args)
+            return pow(*args)
+
+        monkeypatch.setattr(mo, "pow", counting_pow, raising=False)
+        f, d = xs.block_fd(3_000_000, 3_000_000 + xs.SUB_BLOCK - 1)
+        want = python_power_sums(self.HIGH, f, d)
+        assert mo._power_sums_part(self.HIGH, 3_000_000, f, d) == want
+        assert calls == []
+        # the patch does reach the module: object blocks still take Python powers
+        mo._power_sums_part((4,), 1, f[:3].astype(object), d[:3].astype(object))
+        assert len(calls) == 3
 
 
 class TestAverage:
