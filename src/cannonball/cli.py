@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -80,7 +81,7 @@ class RunConfig:
     var: Optional[str] = None
     preset: Optional[str] = None
     workers: int = 1
-    chunk: int = 1 << 16
+    chunk: int = exactseq.CHUNK
     out_format: str = "csv"
     output: Optional[str] = None
     checkpoint_path: Optional[str] = None
@@ -456,17 +457,19 @@ def _cmd_weyl(cfg: RunConfig):
 
 
 def _cmd_knbound(cfg: RunConfig):
+    """|S_m(N)| next to its second-derivative bound for m in [1, m_max]: N times
+    weyl's ratios, so one engine pass serves every m."""
     if cfg.m_max < 1:
         raise ValueError(f"--m-max must be >= 1, got {cfg.m_max}")
     rows = []
-    for m in range(1, cfg.m_max + 1):
-        s = equidist.exp_sum(1, cfg.x, m, cfg.bits)
+    for m, ratio in equidist.weyl_profile(cfg.x, cfg.m_max, cfg.bits):
+        modulus = ratio * cfg.x
         bound = equidist.kn_bound(1, cfg.x, m)
         rows.append({
             "m": m,
-            "modulus": repr(s.modulus),
+            "modulus": repr(modulus),
             "bound": repr(bound),
-            "ok": s.modulus <= bound,
+            "ok": modulus <= bound,
             "prec_bits": 53,
         })
     return rows
@@ -596,11 +599,9 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"--range expects LO:HI, got {text!r}")
 
 
-# main's parser, built on its first call (a build takes 2-5 ms on a 2-vCPU
-# Xeon VM); parse_args leaves the parser as it found it
-_parser = None
-
-
+# one parser per process, the one main parses with (a build takes 2-5 ms on a
+# 2-vCPU Xeon VM); parse_args leaves the parser as it found it
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cannonball",
@@ -616,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan = argparse.ArgumentParser(add_help=False)
     scan.add_argument("--workers", type=int, default=None,
                       help=f"worker processes (default ${ENV_WORKERS} or 1)")
-    scan.add_argument("--chunk", type=int, default=1 << 16,
+    scan.add_argument("--chunk", type=int, default=exactseq.CHUNK,
                       help="index-range granularity for work splitting")
     bits = argparse.ArgumentParser(add_help=False)
     bits.add_argument("--bits", type=int, default=exactseq.DEFAULT_BITS,
@@ -712,10 +713,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
     except ValueError as exc:

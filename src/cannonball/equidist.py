@@ -27,8 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactseq import (DEFAULT_BITS, MAX_BINS, FixedFrac, _frac_words, _limbs, check_bits,
-                       distance_bins, fd_blocks, scan)
+from .exactseq import (CHUNK, DEFAULT_BITS, MAX_BINS, FixedFrac, _frac_words, _limbs,
+                       check_bits, distance_bins, fd_blocks, scan)
 
 _WIDTH = 96                 # points hold mantissa << (_WIDTH - bits)
 _MASK32 = (1 << 32) - 1
@@ -418,7 +418,7 @@ def weyl_profile(N: int, m_max: int, bits: int = DEFAULT_BITS) -> list[tuple[int
 
 
 def half_distance_histogram(x: int, bins: int, *, workers: int = 1,
-                            chunk: int = 1 << 16) -> HistogramResult:
+                            chunk: int = CHUNK) -> HistogramResult:
     """Histogram of |sqrt(P_n) - y_n| over [0, 1/2] in equal-width bins.
 
     Bins are left-open right-closed; membership comes from

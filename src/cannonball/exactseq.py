@@ -40,6 +40,7 @@ import numpy as np
 DEFAULT_BITS = 96
 FD_CAP = 10**10      # last index the vector (f, d) kernel accepts; see block_fd
 SUB_BLOCK = 1 << 12  # indices per kernel call, which bounds its transient arrays
+CHUNK = 1 << 16      # default indices per span (--chunk): one pool task, one terms span
 # largest histogram bin count, which sizes the histogram's one bin array; it
 # also caps the sandwich's L/2, as input validation far below distance_bins' L < 2^53
 MAX_BINS = 1 << 20
@@ -103,7 +104,7 @@ class RangeSpec:
 
     lo: int
     hi: int
-    chunk: int = 1 << 16
+    chunk: int = CHUNK
 
     def __post_init__(self):
         if self.lo < 1 or self.hi < self.lo:
@@ -268,7 +269,7 @@ def ordered_map(fn, items, workers: int = 1) -> Iterator:
         yield from map(fn, chain(head, items))
 
 
-def scan(fn, hi: int, workers: int = 1, chunk: int = 1 << 16, start_n: int = 1,
+def scan(fn, hi: int, workers: int = 1, chunk: int = CHUNK, start_n: int = 1,
          init=None, progress=None):
     """Fold fn over the indices [start_n, hi] and return the total.
 
@@ -556,7 +557,7 @@ def in_exceptional(n: int) -> bool:
     return root_is_lower != int_is_lower
 
 
-def exceptional_indices(x: int, *, workers: int = 1, chunk: int = 1 << 16) -> list[int]:
+def exceptional_indices(x: int, *, workers: int = 1, chunk: int = CHUNK) -> list[int]:
     """All n <= x with in_exceptional(n), by exhaustive exact scan.
 
     With p = f^2 + d its two memberships read 2d <= 2f + 1 and 4d < 4f + 1;
@@ -591,7 +592,7 @@ def half_window_check(n: int) -> bool:
 
 
 def near_half_count(x: int, bits: int = DEFAULT_BITS, *, workers: int = 1,
-                    chunk: int = 1 << 16) -> tuple[int, int]:
+                    chunk: int = CHUNK) -> tuple[int, int]:
     """Count n <= x with |{sqrt(P_n)} - 1/2| <= x^(-3/4), in fixed point.
 
     Returns (count, borderline).  The window threshold is the exact integer

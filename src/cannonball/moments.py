@@ -30,7 +30,7 @@ from itertools import combinations_with_replacement, repeat
 import mpmath as mp
 import numpy as np
 
-from .exactseq import MAX_BINS, _frac_words, _mantissas, check_bits, distance_bins, scan
+from .exactseq import CHUNK, MAX_BINS, _frac_words, _mantissas, check_bits, distance_bins, scan
 
 K_MAX = 12          # accumulator cap; configurable but bounded on purpose
 WORK_PREC = 256     # binary precision for main terms and residuals
@@ -212,7 +212,7 @@ def _check_k(k: int):
         raise ValueError(f"moment order k={k} outside supported range 1..{K_MAX}")
 
 
-def power_sums_at(xs, ks, workers: int = 1, chunk: int = 1 << 16,
+def power_sums_at(xs, ks, workers: int = 1, chunk: int = CHUNK,
                   start_n: int = 1, init=None, progress=None) -> dict[int, tuple[int, ...]]:
     """Exact partial sums of a_n^k for each k in ks, snapshot at every x in xs.
 
@@ -243,7 +243,7 @@ def power_sums_at(xs, ks, workers: int = 1, chunk: int = 1 << 16,
     return out
 
 
-def power_sums(x: int, ks, workers: int = 1, chunk: int = 1 << 16) -> tuple[int, ...]:
+def power_sums(x: int, ks, workers: int = 1, chunk: int = CHUNK) -> tuple[int, ...]:
     """Exact (sum a_n^k for k in ks) over n <= x."""
     return power_sums_at([x], ks, workers=workers, chunk=chunk)[x]
 
@@ -271,7 +271,7 @@ def summary_from_exact(x: int, k: int, exact: int) -> MomentSummary:
     return MomentSummary(x, k, exact, main, residual, normalized)
 
 
-def moment(x: int, k: int, workers: int = 1, chunk: int = 1 << 16) -> MomentSummary:
+def moment(x: int, k: int, workers: int = 1, chunk: int = CHUNK) -> MomentSummary:
     """Exact M_k(x) with its main term and residual diagnostics."""
     if x < 1:
         raise ValueError("x must be >= 1")
@@ -280,7 +280,7 @@ def moment(x: int, k: int, workers: int = 1, chunk: int = 1 << 16) -> MomentSumm
     return summary_from_exact(x, k, exact)
 
 
-def average(x: int, workers: int = 1, chunk: int = 1 << 16) -> AverageSummary:
+def average(x: int, workers: int = 1, chunk: int = CHUNK) -> AverageSummary:
     """A(x) = M_1(x)/x as an exact rational, with its real value and main term."""
     if x < 1:
         raise ValueError("x must be >= 1")
@@ -292,7 +292,7 @@ def average(x: int, workers: int = 1, chunk: int = 1 << 16) -> AverageSummary:
 
 
 def sandwich(x: int, k: int, L: int, bits: int = SANDWICH_BITS, *, workers: int = 1,
-             chunk: int = 1 << 16) -> SandwichResult:
+             chunk: int = CHUNK) -> SandwichResult:
     """Rigorous binned bracketing of M_k(x) with L distance bins on [0, 1/2].
 
     Bin j_n holds (j_n-1)/L < delta_n = |sqrt(P_n) - y_n| <= j_n/L; membership
@@ -403,7 +403,7 @@ def _carry(cols: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def fit_residual(xs, k: int, workers: int = 1, chunk: int = 1 << 16) -> FitReport:
+def fit_residual(xs, k: int, workers: int = 1, chunk: int = CHUNK) -> FitReport:
     """Least-squares slope of log|M_k(x) - main| against log x."""
     xs = [int(x) for x in xs]
     if len(xs) < 3 or any(b <= a for a, b in zip(xs, xs[1:])):

@@ -95,7 +95,8 @@ def test_cli_rejects_harmonic_count_above_cap(argv):
     (["weyl", "--x", "1000", "--bits", "40"], "m_max=5 needs at least 43 fixed-point bits (have 40)"),
     (["weyl", "--x", "1000", "--m-max", "20", "--bits", "32"],
      "m_max=20 needs at least 45 fixed-point bits (have 32)"),
-    (["knbound", "--x", "1000", "--bits", "40"], "m=2 needs at least 41 fixed-point bits (have 40)"),
+    (["knbound", "--x", "1000", "--bits", "40"],
+     "m_max=5 needs at least 43 fixed-point bits (have 40)"),
     (["discrepancy", "--x", "1000", "--K", "5", "--bits", "40"],
      "K=5 needs at least 43 fixed-point bits (have 40)"),
 ])

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cannonball import cli
+from cannonball import equidist as eq
 from cannonball import exactseq as xs
 from cannonball import moments as mo
 from conftest import oracle_term
@@ -443,6 +444,53 @@ class TestOptimize:
         assert proc.returncode == 2
         assert "malformed monomial entry" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestKnbound:
+    """knbound prints N times weyl's ratios: one engine pass for every m."""
+
+    @pytest.mark.parametrize("n, m_max, bits", [
+        (2, 5, 96), (1000, 200, 96), (150000, 70, 96), (150000, 5, 43)])
+    def test_rows_match_exp_sum_and_the_bound(self, monkeypatch, capsys, n, m_max, bits):
+        engine = eq._harmonic_sums
+        calls = []
+
+        def counting(pts, ms):
+            sums, bounds = engine(pts, ms)
+            calls.append((ms, bounds))
+            return sums, bounds
+
+        monkeypatch.setattr(eq, "_harmonic_sums", counting)
+        code, out = run_capture(["knbound", "--x", str(n), "--m-max", str(m_max),
+                                 "--bits", str(bits)], capsys)
+        assert code == 0
+        assert len(calls) == 1 and calls[0][0] == range(1, m_max + 1)
+        monkeypatch.undo()
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [int(r["m"]) for r in rows] == list(range(1, m_max + 1))
+        u = 2.0 ** -53
+        for r, engine_err in zip(rows, calls[0][1]):
+            m, modulus = int(r["m"]), float(r["modulus"])
+            ref = eq.exp_sum(1, n, m, bits)
+            assert abs(modulus - ref.modulus) <= engine_err + ref.modulus_err + 4 * u * ref.modulus
+            bound = eq.kn_bound(1, n, m)
+            assert r["bound"] == repr(bound)
+            assert r["ok"] == str(modulus <= bound)
+            assert r["prec_bits"] == "53"
+
+
+def test_main_parses_with_the_one_built_parser(capsys):
+    # main and a set-up call share one parser, and parsing leaves it as built
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    argvs = (["moments", "--x", "100", "--k", "3", "--chunk", "7"], ["weyl", "--x", "10"],
+             ["optimize", "--preset", "moment-residual"])
+    seen = [parser.parse_args(argv) for argv in argvs]
+    assert cli.main(["knbound", "--x", "10", "--m-max", "2"]) == 0
+    fresh = cli.build_parser.__wrapped__()
+    assert [parser.parse_args(argv) for argv in argvs] == seen
+    assert [fresh.parse_args(argv) for argv in argvs] == seen
+    assert parser.format_help() == fresh.format_help()
 
 
 class TestOtherCommands:

@@ -59,8 +59,12 @@ CASES += [("discrepancy", "--x", str(x), *k, "--bits", bits)
 CASES += [("discrepancy", "--x", "1000", "--K", "40000")]
 # the word table at the headline size, built through the double-word kernel
 CASES += [("discrepancy", "--x", "1000000", "--K", "100")]
-CASES += [("weyl", "--x", "150000", "--m-max", "20", "--bits", bits) for bits in ("96", "40", "32")]
-CASES += [("knbound", "--x", "150000", "--m-max", "5", "--bits", bits) for bits in ("96", "64")]
+# the lowest precisions that print at these harmonic counts (|m| 2^-bits < 1e-12),
+# and a knbound whose second anchor run starts at m = 65
+CASES += [("weyl", "--x", "150000", "--m-max", "20", "--bits", bits) for bits in ("96", "45")]
+CASES += [("knbound", "--x", "150000", "--m-max", "5", "--bits", bits)
+          for bits in ("96", "64", "43")]
+CASES += [("knbound", "--x", "150000", "--m-max", "70")]
 # terms: both formats, shifted starts, a pool whose spans cut sub-blocks, the
 # index where P_n passes 2^64 (n = 3810778) and ranges straddling FD_CAP = 1e10
 CASES += [
