@@ -2,9 +2,9 @@
 
 Results are deterministic for a fixed configuration: the commands that
 scan indices (terms, moments, average, fit, sandwich, histogram, nearhalf,
-exceptional) take --workers and --chunk, and merge chunks in index order
-no matter how many workers computed them (all but terms through
-exactseq.scan); integers are emitted as exact decimal strings, and reals
+exceptional) take --workers and --chunk, and all of them walk the same
+spans, exactseq.spans, merged in index order no matter how many workers
+computed them; integers are emitted as exact decimal strings, and reals
 are formatted at a declared precision.  A moments scan checkpoints at chunk
 boundaries; resuming a killed run produces byte-identical output to an
 uninterrupted one.  A checkpoint refuses to resume under a configuration
@@ -12,15 +12,16 @@ whose semantic fingerprint differs (worker count, chunk size and checkpoint
 cadence are deliberately not part of the fingerprint).
 
 emit is the one writer.  terms formats each kernel sub-block of rows
-straight from (f, d) into one string, and emit writes each string as it
-arrives, so memory does not grow with the range.  An int64 kernel
-sub-block is formatted whole in numpy: each integer becomes base-10^4
-digit groups, one 4-byte word each from a 20001-word table whose second
-half writes leading zeros as NUL, the literal pieces become NUL-padded
-words, and the text is the bytes of one rows-by-words uint32 array with
-its NULs deleted; p = f^2 + d, past int64 from n = 3024617, is built as
-two base-10^16 limbs.  Object sub-blocks past FD_CAP keep one f-string
-per row, the exact reference of the vector path (see _terms_text).
+straight from (f, d) into one string, exactseq.spans hands on each span's
+strings, and emit writes each string as it arrives, so memory grows with
+--chunk but not with the range.  An int64 kernel sub-block is formatted
+whole in numpy: each integer becomes base-10^4 digit groups, one 4-byte
+word each from a 20001-word table whose second half writes leading zeros
+as NUL, the literal pieces become NUL-padded words, and the text is the
+bytes of one rows-by-words uint32 array with its NULs deleted; p = f^2 +
+d, past int64 from n = 3024617, is built as two base-10^16 limbs.  Object
+sub-blocks past FD_CAP keep one f-string per row, the exact reference of
+the vector path (see _terms_text).
 
 The other commands' few dict rows (never none) are rendered into one
 chunk, whose CSV header is the first row's keys.  A file is written to
@@ -28,10 +29,11 @@ FILE.tmp and renamed over FILE only when complete: on any error the .tmp
 file is removed and an existing FILE keeps its bytes.  A reader that
 closes stdout early (`| head`) ends the run quietly, with status 0.
 
-Exit status: 0 on success, 2 for bad input, 3 for a checkpoint written by
-another configuration, 4 when a result fails its own self-check (the
-sandwich bracket or the Erdos-Turan inequality), which points to a defect
-in the program rather than in the input.
+Exit status: 0 on success, 2 for bad input (a request too large for
+memory included), 3 for a checkpoint written by another configuration, 4
+when a result fails its own self-check (the sandwich bracket or the
+Erdos-Turan inequality), which points to a defect in the program rather
+than in the input.
 """
 
 from __future__ import annotations
@@ -219,39 +221,37 @@ def _read_checkpoint(path: str) -> dict:
 
 
 def _cmd_terms(cfg: RunConfig):
-    spec = exactseq.RangeSpec(cfg.lo, cfg.hi, cfg.chunk)
-    spans = ((cfg.out_format, lo, hi) for lo, hi in spec.chunks())
-    texts = exactseq.ordered_map(_terms_text, spans, cfg.workers)
-    return _terms_chunks(cfg.out_format, texts)
+    is_csv = cfg.out_format == "csv"
+    return _terms_chunks(is_csv, exactseq.spans(functools.partial(_terms_text, is_csv), cfg.hi,
+                                                cfg.workers, cfg.chunk, cfg.lo))
 
 
-def _terms_chunks(out_format: str, texts):
-    """The terms output as text chunks: each span's parts, in order, inside a CSV
-    header or a JSON array."""
-    if out_format == "csv":
-        yield "n,p,f,y,a,side\r\n"
-        for parts in texts:
-            yield from parts
-        return
-    yield "[\n"
-    yield from next(texts)
-    for parts in texts:
-        yield ",\n"
-        yield from parts
-    yield "\n]\n"
+def _terms_chunks(is_csv: bool, spans):
+    """The terms output as text chunks: each span's sub-block strings, in order,
+    inside a CSV header or a JSON array.  One string is held back, so nothing
+    is written before the first span is folded, and the last JSON row is
+    written without the ",\n" every JSON row ends in."""
+    texts = (text for _, (parts,) in spans for text in parts)
+    held = next(texts)
+    yield "n,p,f,y,a,side\r\n" if is_csv else "[\n"
+    for text in texts:
+        yield held
+        held = text
+    yield held if is_csv else held[:-2] + "\n]\n"
 
 
-def _terms_text(span: tuple) -> list[str]:
-    """The terms rows of one (out_format, lo, hi) span, straight from (f, d), as
-    the list of its sub-blocks' strings, so no span is joined into one string.
+def _terms_text(is_csv: bool, s: int, f, d) -> tuple[list[str]]:
+    """The terms rows of one (f, d) sub-block as a one-string list, the part
+    spans folds into a span's list of strings, so no span is joined into
+    one string.
 
     p = f^2 + d; below the half y = f and a = d, above it y = f + 1 and
     a = 2f + 1 - d.  A CSV row is what csv.DictWriter writes for it: no
     field needs quoting, and the line ends in CRLF.  JSON rows are the
     array elements json.dump(rows, indent=2) writes, "n" a bare int and the
-    other fields strings, joined by a comma and a newline: every row is
-    written with a trailing ",\n" and the span's last part drops its last
-    two characters.  Module-level, so a pool can pickle it.
+    other fields strings, each followed by a comma and a newline, which
+    _terms_chunks drops after the last row.  Module-level, so a pool can
+    pickle it.
 
     Each int64 kernel sub-block is formatted whole in numpy by _vector_rows:
     every integer becomes base-10^4 digit groups looked up in the one word
@@ -260,13 +260,7 @@ def _terms_text(span: tuple) -> list[str]:
     FD_CAP take _object_rows, one f-string per row: the exact fallback,
     and the reference the vector path matches byte for byte.
     """
-    out_format, lo, hi = span
-    is_csv = out_format == "csv"
-    parts = [(_object_rows if fs.dtype == object else _vector_rows)(s, fs, ds, is_csv)
-             for s, fs, ds in exactseq.fd_blocks(lo, hi)]
-    if not is_csv:
-        parts[-1] = parts[-1][:-2]
-    return parts
+    return ([(_object_rows if f.dtype == object else _vector_rows)(s, f, d, is_csv)],)
 
 
 def _object_rows(s: int, fs, ds, is_csv: bool) -> str:
@@ -587,6 +581,9 @@ def run(config: RunConfig) -> int:
         return 4
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 2
     return 0
 

@@ -163,10 +163,10 @@ def term(n: int) -> Term:
 def stream_terms(spec: RangeSpec) -> Iterator[Term]:
     """Yield Term for every n in [lo, hi] in order.
 
-    (f, d) come from the block_fd kernel and p = f^2 + d.  Disjoint chunks
-    from spec.chunks() can be processed by independent workers and merged
-    by index; a reduction over the terms belongs on scan, which does that
-    splitting and merging once for every reduction.
+    (f, d) come from the block_fd kernel's sub-blocks and p = f^2 + d, in
+    one serial pass whatever spec.chunk is.  Work spread over spans and
+    workers belongs on spans or scan, which cut and merge the spans once
+    for every command.
     """
     for lo, fs, ds in fd_blocks(spec.lo, spec.hi):
         for n, f, d in zip(range(lo, spec.hi + 1), fs.tolist(), ds.tolist()):
@@ -269,13 +269,12 @@ def ordered_map(fn, items, workers: int = 1) -> Iterator:
         yield from map(fn, chain(head, items))
 
 
-def scan(fn, hi: int, workers: int = 1, chunk: int = CHUNK, start_n: int = 1,
-         init=None, progress=None):
-    """Fold fn over the indices [start_n, hi] and return the total.
+def spans(fn, hi: int, workers: int = 1, chunk: int = CHUNK, start_n: int = 1) -> Iterator:
+    """((first, last), part) for each span of [start_n, hi], in index order.
 
     fn(s, f, d) reduces one fd_blocks sub-block, f[i] and d[i] belonging to
     index s + i, to a tuple of partials, and returns fresh objects: they
-    are folded into the total of their span in place (operator.iadd), so
+    are folded into the part of their span in place (operator.iadd), so
     ints add, numpy arrays add into the first one and lists extend it.
     A component is never a tuple, since tuple + tuple concatenates where
     addition is meant.  fn is pickled into the pool, so it is a
@@ -283,21 +282,33 @@ def scan(fn, hi: int, workers: int = 1, chunk: int = CHUNK, start_n: int = 1,
 
     [start_n, hi] is cut lazily into spans of at most `chunk` indices, so
     no list of spans is built, and ordered_map folds each span in a pool
-    of up to `workers` processes.  The span totals are merged into the
-    running total by + in index order, starting from `init` (None: from
-    the first span), so `init` and the totals passed to progress(last_n,
-    total) after each merge are never mutated afterwards; a caller that
-    needs the total at several indices scans up to each in turn and
-    resumes from it (moments.power_sums_at).  Exact components make the
-    total independent of workers and chunk.  When start_n > hi nothing is
-    left to scan, and the result is `init`.
+    of up to `workers` processes.  This is the one span walk: scan folds
+    its parts into a total, and the terms command writes its parts, each a
+    list of text, as they arrive.  The range is checked here, before the
+    first span is folded.
+    """
+    spec = RangeSpec(start_n, hi, chunk)
+    return zip(spec.chunks(), ordered_map(partial(_fold_span, fn), spec.chunks(), workers))
+
+
+def scan(fn, hi: int, workers: int = 1, chunk: int = CHUNK, start_n: int = 1,
+         init=None, progress=None):
+    """Fold fn over the indices [start_n, hi] and return the total.
+
+    fn is as in spans, whose span parts are merged into the running total
+    by + in index order, starting from `init` (None: from the first span),
+    so `init` and the totals passed to progress(last_n, total) after each
+    merge are never mutated afterwards; a caller that needs the total at
+    several indices scans up to each in turn and resumes from it
+    (moments.power_sums_at).  Every scan command, terms included, walks
+    these same spans.  Exact components make the total independent of
+    workers and chunk.  When start_n > hi nothing is left to scan, and the
+    result is `init`.
     """
     if start_n > hi:
         return init
-    spans = RangeSpec(start_n, hi, chunk)
     total = init
-    for (_, last), part in zip(spans.chunks(),
-                               ordered_map(partial(_fold_span, fn), spans.chunks(), workers)):
+    for (_, last), part in spans(fn, hi, workers, chunk, start_n):
         total = part if total is None else tuple(t + p for t, p in zip(total, part))
         if progress is not None:
             progress(last, total)

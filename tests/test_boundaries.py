@@ -235,3 +235,41 @@ def test_closed_stdout_is_a_quiet_exit(args):
         proc.wait()
     assert proc.returncode == 0
     assert err == b""
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (equidist, "sqrt_frac_points", ["discrepancy", "--x", "100"]),
+    (equidist, "sqrt_frac_points", ["discrepancy", "--x", "100", "--K", "5"]),
+    (equidist, "sqrt_frac_points", ["weyl", "--x", "100"]),
+    (equidist, "sqrt_frac_points", ["knbound", "--x", "100"]),
+    (cli, "_terms_text", ["terms", "--range", "1:100", "--chunk", "10"]),
+    (cli, "_terms_text", ["terms", "--range", "1:100", "--out", "json"]),
+], ids=["discrepancy", "discrepancy_K", "weyl", "knbound", "terms", "terms_json"])
+def test_request_too_large_for_memory_exits_2(monkeypatch, capsys, tmp_path, module, name, argv):
+    """numpy's MemoryError for an array past the machine (discrepancy --x 1e13)
+    is one error line and exit 2, and --output keeps an existing file's bytes."""
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 218. TiB for an array with shape "
+                          "(10000000000000, 3) and data type int64")
+
+    monkeypatch.setattr(module, name, fail)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: out of memory: Unable to allocate 218. TiB for an array "
+                            "with shape (10000000000000, 3) and data type int64\n")
+    dest = tmp_path / "out.csv"
+    dest.write_bytes(b"old bytes")
+    assert cli.main(argv + ["--output", str(dest)]) == 2
+    assert capsys.readouterr().err.count("error:") == 1
+    assert dest.read_bytes() == b"old bytes"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+def test_bare_memory_error_is_one_line(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(equidist, "sqrt_frac_points", fail)
+    assert cli.main(["weyl", "--x", "100"]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"

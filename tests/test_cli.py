@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import os
@@ -84,9 +85,11 @@ def assert_same_bytes(got, want):
 
 
 def span_bytes(lo, hi, out_format):
-    """The terms output of [lo, hi] from one _terms_text span, as the CLI writes it."""
-    text = cli._terms_text((out_format, lo, hi))
-    return "".join(cli._terms_chunks(out_format, iter([text]))).encode()
+    """The terms output of [lo, hi] from one span of _terms_text parts, as the CLI writes it."""
+    is_csv = out_format == "csv"
+    one_span = xs.spans(functools.partial(cli._terms_text, is_csv), hi, chunk=hi - lo + 1,
+                        start_n=lo)
+    return "".join(cli._terms_chunks(is_csv, one_span)).encode()
 
 
 class TestTermsStream:
@@ -147,11 +150,11 @@ class TestTermsStream:
         spans = []
         real = cli._terms_text
 
-        def fail_second(span):
-            spans.append(span)
+        def fail_second(is_csv, s, f, d):
+            spans.append(s)
             if len(spans) == 2:
                 raise ValueError("forced failure")
-            return real(span)
+            return real(is_csv, s, f, d)
 
         monkeypatch.setattr(cli, "_terms_text", fail_second)
         assert cli.main(["terms", "--range", "1:100", "--chunk", "10",

@@ -207,6 +207,28 @@ class TestScan:
         pooled = xs.scan(_span_parts, 1000, workers=2, chunk=37)
         assert _plain(serial) == _plain(pooled)
 
+    @pytest.mark.parametrize("hi, chunk, start_n", [(1000, 37, 46),
+                                                    (2 * xs.SUB_BLOCK + 100, 5000, 3),
+                                                    (10, 100, 10)])
+    def test_spans_tile_the_range_and_fold_to_the_scan_total(self, hi, chunk, start_n):
+        serial = list(xs.spans(_span_parts, hi, chunk=chunk, start_n=start_n))
+        ranges = [r for r, _ in serial]
+        assert ranges[0][0] == start_n and ranges[-1][1] == hi
+        assert all(b[0] == a[1] + 1 for a, b in zip(ranges, ranges[1:]))
+        assert all(0 <= last - first < chunk for first, last in ranges)
+        for (first, last), part in serial:
+            assert part[:2] == (last - first + 1, list(range(first, last + 1, xs.SUB_BLOCK)))
+        pooled = list(xs.spans(_span_parts, hi, workers=2, chunk=chunk, start_n=start_n))
+        assert [(r, _plain(p)) for r, p in pooled] == [(r, _plain(p)) for r, p in serial]
+        total = serial[0][1]
+        for _, part in serial[1:]:
+            total = tuple(t + p for t, p in zip(total, part))
+        assert _plain(total) == _plain(xs.scan(_span_parts, hi, chunk=chunk, start_n=start_n))
+
+    def test_spans_check_the_range_before_any_span(self):
+        with pytest.raises(ValueError, match="invalid range"):
+            xs.spans(_span_parts, 4, start_n=5)
+
     def test_sandwich_is_one_kernel_pass(self, monkeypatch):
         fed = []
         block_fd = xs.block_fd

@@ -87,6 +87,13 @@ CASES += [
     ("terms", "--range", "3020000:3030000"),
     ("terms", "--range", "3020000:3030000", "--out", "json"),
 ]
+# terms' JSON framing: one row, a last span of one row, every span one row
+CASES += [
+    ("terms", "--range", "24:24"),
+    ("terms", "--range", "24:24", "--out", "json"),
+    ("terms", "--range", "1:4097", "--out", "json", "--workers", "2", "--chunk", "4096"),
+    ("terms", "--range", "1:9", "--out", "json", "--workers", "2", "--chunk", "1"),
+]
 
 
 def run_case(tree: Path, args, out: Path) -> tuple[int, bytes]:
