@@ -113,9 +113,7 @@ class RunConfig:
 
 
 def _real(v) -> str:
-    """Deterministic decimal rendering of a real at REAL_DIGITS digits."""
-    if isinstance(v, float):
-        return repr(v)
+    """Deterministic decimal rendering of an mpmath real at REAL_DIGITS digits."""
     return mp.nstr(v, REAL_DIGITS)
 
 
@@ -427,11 +425,11 @@ def _cmd_sandwich(cfg: RunConfig):
 
 
 def _cmd_discrepancy(cfg: RunConfig):
-    pts = equidist.sqrt_frac_points(cfg.x, cfg.bits)
-    if cfg.K is not None:
-        r = equidist.erdos_turan(pts, cfg.K, cfg.bits)
+    if cfg.K is None:
+        r = equidist.star_discrepancy(equidist.sqrt_frac_points(cfg.x, cfg.bits))
     else:
-        r = equidist.star_discrepancy(pts)
+        equidist.check_truncation(cfg.K, cfg.bits)  # a bad K builds no point table
+        r = equidist.erdos_turan(equidist.sqrt_frac_points(cfg.x, cfg.bits), cfg.K, cfg.bits)
     row = {
         "N": r.N,
         "d_unnormalized": repr(r.d_unnormalized),
@@ -455,6 +453,8 @@ def _cmd_knbound(cfg: RunConfig):
     weyl's ratios, so one engine pass serves every m."""
     if cfg.m_max < 1:
         raise ValueError(f"--m-max must be >= 1, got {cfg.m_max}")
+    if cfg.x < 2:  # kn_bound needs a range of two indices or more
+        raise ValueError(f"--x must be >= 2, got {cfg.x}")
     rows = []
     for m, ratio in equidist.weyl_profile(cfg.x, cfg.m_max, cfg.bits):
         modulus = ratio * cfg.x

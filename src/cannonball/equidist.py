@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -221,6 +221,15 @@ def _check_harmonic(name: str, m: int, bits: Optional[int] = None) -> None:
             f"{name.strip('|')}={m} needs at least {needed} fixed-point bits (have {bits})")
 
 
+def check_truncation(K: int, bits: int) -> None:
+    """erdos_turan's checks of the truncation K against points of `bits`
+    bits, cheap enough to run before any point is built."""
+    check_bits(bits)
+    if K < 1:
+        raise ValueError("truncation K must be >= 1")
+    _check_harmonic("K", K, bits)
+
+
 def _rotations(limbs: np.ndarray, m: int) -> np.ndarray:
     """e(m * x_n) for every point, evaluated directly from the reduced phase."""
     t = (2.0 * np.pi) * _limb_phases(limbs, m)
@@ -230,32 +239,24 @@ def _rotations(limbs: np.ndarray, m: int) -> np.ndarray:
     return z
 
 
-def _runs(ms: list[int]):
-    """(first position, length) of each anchor run: at most ANCHOR harmonics
-    in steps of +1, so every harmonic after the first is one rotation on."""
-    start = 0
-    for j in range(1, len(ms) + 1):
-        if j == len(ms) or ms[j] != ms[j - 1] + 1 or j - start == ANCHOR:
-            yield start, j - start
-            start = j
-
-
-def _harmonic_sums(pts: PhasePoints, ms: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """S_m = sum_n e(m * x_n) for each m in ms, with a bound on each error.
+def _harmonic_sums(pts: PhasePoints, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """S_m = sum_n e(m * x_n) for m = first, ..., first + count - 1, with a
+    bound on each error.
 
     The points are walked in blocks of POINT_BLOCK, so no temporary is
     larger than a block.  Inside a block the harmonics are walked in runs
-    of at most ANCHOR consecutive values a, a+1, ..., a+R-1.  The anchor
+    of ANCHOR consecutive values a, a+1, ..., a+R-1 (the last run may be
+    shorter), a = first + j for j = 0, ANCHOR, 2*ANCHOR, ....  The anchor
     rotation e(a*x) is evaluated directly from the reduced phase; each later
     one is the previous times e(x), one complex multiply per point, and each
     harmonic costs one pairwise z.sum().  Block sums are accumulated in
     point order, so results do not depend on anything but the input.
 
-    Returns (sums, bounds) with |computed S_m - S_m| <= bounds[j], where S_m
-    is the exact sum over the true points (the reals whose fixed-point
-    truncations are the limbs), and the bound also covers the rounding of
-    abs() of the computed sum.  With u = 2^-53 and delta = 2^-bits, the
-    truncation of each point:
+    Returns (sums, bounds) with |computed S_m - S_m| <= bounds[m - first],
+    where S_m is the exact sum over the true points (the reals whose
+    fixed-point truncations are the limbs), and the bound also covers the
+    rounding of abs() of the computed sum.  With u = 2^-53 and
+    delta = 2^-bits, the truncation of each point:
 
     * direct evaluation: the phase rounded to float (u) and the angle
       2*pi*phase (2u for np.pi and the product) move e() by 2*pi*3u, and
@@ -277,21 +278,20 @@ def _harmonic_sums(pts: PhasePoints, ms: Sequence[int]) -> tuple[np.ndarray, np.
       block sums are then added one after another, and abs() costs one
       ulp, 2u: h = 127 + ceil(log2(POINT_BLOCK/128)) + blocks + 2.
     """
-    ms = [int(m) for m in ms]
     n = len(pts)
-    sums = np.zeros(len(ms), np.complex128)
-    runs = list(_runs(ms))
-    recur = any(r > 1 for _, r in runs)
+    totals = np.zeros(count, np.complex128)
+    runs = range(0, count, ANCHOR)
+    recur = count > 1
     for b in range(0, n, POINT_BLOCK):
         blk = pts.block(b)
         step = _rotations(blk, 1) if recur else None
-        for j, r in runs:
+        for j in runs:
             # e(1 * x) is step itself, the same floats evaluated the same way
-            z = step.copy() if recur and ms[j] == 1 else _rotations(blk, ms[j])
-            sums[j] += z.sum()
-            for k in range(j + 1, j + r):
+            z = step.copy() if recur and first + j == 1 else _rotations(blk, first + j)
+            totals[j] += z.sum()
+            for k in range(j + 1, min(j + ANCHOR, count)):
                 z *= step
-                sums[k] += z.sum()
+                totals[k] += z.sum()
 
     u = 2.0 ** -53
     s5u = math.sqrt(5.0) * u
@@ -302,13 +302,13 @@ def _harmonic_sums(pts: PhasePoints, ms: Sequence[int]) -> tuple[np.ndarray, np.
     tree = math.ceil(math.log2(max(POINT_BLOCK / 128, 1)))
     h = 127 + tree + -(-n // POINT_BLOCK) + 2
     gamma = h * u / (1 - h * u)
-    bounds = np.empty(len(ms))
-    for j, r in runs:
-        e0 = _EVAL_ERR + 2 * math.pi * abs(ms[j]) * delta
-        for k in range(r):
+    bounds = np.empty(count)
+    for j in runs:
+        e0 = _EVAL_ERR + 2 * math.pi * abs(first + j) * delta
+        for k in range(min(ANCHOR, count - j)):
             per_term = rho ** k * (e0 + k * c)
             bounds[j + k] = n * per_term + gamma * n * (1 + per_term)
-    return sums, bounds
+    return totals, bounds
 
 
 def exp_sum(lo: int, hi: int, m: int, bits: int = DEFAULT_BITS,
@@ -324,10 +324,10 @@ def exp_sum(lo: int, hi: int, m: int, bits: int = DEFAULT_BITS,
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi")
     _check_harmonic("|m|", m, bits)
-    sums, errs = _harmonic_sums(sqrt_frac_points(hi, bits, lo=lo), [m])
-    s = complex(sums[0])
+    (s,), (err,) = _harmonic_sums(sqrt_frac_points(hi, bits, lo=lo), m, 1)
+    s = complex(s)
     bound = kn_bound(lo, hi, abs(m)) if (attach_bound and lo < hi) else None
-    return ExpSum(m, lo, hi, s.real, s.imag, float(errs[0]), bound)
+    return ExpSum(m, lo, hi, s.real, s.imag, float(err), bound)
 
 
 def deriv_bounds(n: float) -> DerivBounds:
@@ -388,13 +388,11 @@ def erdos_turan(points, K: int, bits: int = DEFAULT_BITS) -> DiscrepancyResult:
     |S_m|, plus (K + 3)u * et_bound for the roundings of 3|S_m|/m and of
     the running sum of K + 1 terms.
     """
-    if K < 1:
-        raise ValueError("truncation K must be >= 1")
     pts = as_phase_points(points, bits)
-    _check_harmonic("K", K, pts.bits)
+    check_truncation(K, pts.bits)
     base = star_discrepancy(pts)
     n = base.N
-    sums, errs = _harmonic_sums(pts, range(1, K + 1))
+    sums, errs = _harmonic_sums(pts, 1, K)
     total = n / (K + 1)
     slack = 0.0
     for m, s, err in zip(range(1, K + 1), sums.tolist(), errs.tolist()):
@@ -413,7 +411,7 @@ def weyl_profile(N: int, m_max: int, bits: int = DEFAULT_BITS) -> list[tuple[int
         raise ValueError("need N >= 1 and m_max >= 1")
     check_bits(bits)
     _check_harmonic("m_max", m_max, bits)
-    sums, _ = _harmonic_sums(sqrt_frac_points(N, bits), range(1, m_max + 1))
+    sums, _ = _harmonic_sums(sqrt_frac_points(N, bits), 1, m_max)
     return [(m, abs(s) / N) for m, s in zip(range(1, m_max + 1), sums.tolist())]
 
 

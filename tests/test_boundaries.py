@@ -159,9 +159,26 @@ def test_cli_rejects_sizes_above_cap(argv, message):
     (["discrepancy", "--x", "1000", "--K", "0"], "truncation K must be >= 1"),
     (["optimize", "--preset", "moment-residual", "--k", "0"], "k must be >= 1"),
     (["knbound", "--x", "1000", "--m-max", "0"], "--m-max must be >= 1, got 0"),
+    (["knbound", "--x", "1"], "--x must be >= 2, got 1"),
 ])
 def test_cli_rejects_zero_counts(capsys, argv, message):
     assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["discrepancy", "--x", "10000000", "--K", "0"], "truncation K must be >= 1"),
+    (["discrepancy", "--x", "10000000", "--K", "100", "--bits", "40"],
+     "K=100 needs at least 47 fixed-point bits (have 40)"),
+])
+def test_discrepancy_checks_K_before_the_points(monkeypatch, capsys, argv, message):
+    # a bad K must not first build 10^7 points (2.4 s and 268 MB once)
+    calls = []
+    monkeypatch.setattr(equidist, "sqrt_frac_points", lambda *a, **k: calls.append(a))
+    assert cli.main(argv) == 2
+    assert calls == []
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""

@@ -458,9 +458,9 @@ class TestKnbound:
         engine = eq._harmonic_sums
         calls = []
 
-        def counting(pts, ms):
-            sums, bounds = engine(pts, ms)
-            calls.append((ms, bounds))
+        def counting(pts, first, count):
+            sums, bounds = engine(pts, first, count)
+            calls.append((range(first, first + count), bounds))
             return sums, bounds
 
         monkeypatch.setattr(eq, "_harmonic_sums", counting)

@@ -51,10 +51,11 @@ def direct_sum(pts, m):
 
 
 def engine(pts, ms, block=None):
+    """The engine over the harmonic range ms, optionally with a shrunk point block."""
     if block is None:
-        return eq._harmonic_sums(pts, ms)
+        return eq._harmonic_sums(pts, ms.start, len(ms))
     with mock.patch.object(eq, "POINT_BLOCK", block):
-        return eq._harmonic_sums(pts, ms)
+        return eq._harmonic_sums(pts, ms.start, len(ms))
 
 
 def assert_within(got, bounds, refs, ref_errs):
@@ -112,11 +113,11 @@ class TestCallers:
     def test_exp_sum_is_one_anchor(self):
         for m in (1, -7, 40000):
             s = eq.exp_sum(3, 5000, m)
-            got, bounds = eq._harmonic_sums(eq.sqrt_frac_points(5000, lo=3), [m])
+            got, bounds = eq._harmonic_sums(eq.sqrt_frac_points(5000, lo=3), m, 1)
             assert (s.re, s.im, s.modulus_err) == (got[0].real, got[0].imag, bounds[0])
 
     def test_weyl_profile_reads_the_engine(self):
-        got, _ = eq._harmonic_sums(eq.sqrt_frac_points(4000), range(1, 9))
+        got, _ = eq._harmonic_sums(eq.sqrt_frac_points(4000), 1, 8)
         assert eq.weyl_profile(4000, 8) == [(m, abs(s) / 4000)
                                             for m, s in enumerate(got.tolist(), 1)]
 
@@ -124,6 +125,11 @@ class TestCallers:
         r = eq.erdos_turan(eq.sqrt_frac_points(5 * 10**5), 100)
         assert 0 < r.slack < 1e-6 * r.et_bound
         assert r.d_unnormalized <= r.et_bound + r.slack
+
+    def test_exp_sum_attaches_the_kn_bound(self):
+        s = eq.exp_sum(3, 5000, -7, attach_bound=True)
+        assert s.kn_bound == eq.kn_bound(3, 5000, 7) == 9358.932728925223
+        assert eq.exp_sum(5, 5, 3, attach_bound=True).kn_bound is None
 
     def test_harmonic_count_cap(self):
         with pytest.raises(ValueError, match="cap"):
@@ -139,6 +145,20 @@ class TestCallers:
             s = eq.exp_sum(2, 60, m)
             err = s.modulus_err + reference_error(59, m, 2.0 ** -96, 59)
             assert abs(complex(s.re, s.im) - brute_exp_sum(2, 60, m)) <= err
+
+
+@pytest.mark.parametrize("rows", [1, 2, 64])
+def test_row_sums_equal_per_row_sums(rows):
+    """Z.sum(axis=1) adds each row of a C-contiguous complex128 array the
+    way z.sum() adds that row alone, bit for bit, at lengths around numpy's
+    128-term pairwise leaves and POINT_BLOCK: summing several harmonics'
+    rotations in one call would leave every sum and bound unchanged."""
+    rng = np.random.default_rng(rows)
+    for n in (1, 127, 128, 129, 257, eq.POINT_BLOCK, eq.POINT_BLOCK + 1):
+        z = np.exp(2j * np.pi * rng.random((rows, n)))
+        assert z.flags.c_contiguous and z.dtype == np.complex128
+        each = np.array([z[r].sum() for r in range(rows)])
+        assert z.sum(axis=1).tobytes() == each.tobytes(), n
 
 
 def test_memory_bounded_by_block():

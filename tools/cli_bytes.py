@@ -65,6 +65,8 @@ CASES += [("weyl", "--x", "150000", "--m-max", "20", "--bits", bits) for bits in
 CASES += [("knbound", "--x", "150000", "--m-max", "5", "--bits", bits)
           for bits in ("96", "64", "43")]
 CASES += [("knbound", "--x", "150000", "--m-max", "70")]
+# the anchor-run edges: one full run of ANCHOR = 64, then a last run of one harmonic
+CASES += [("weyl", "--x", "150000", "--m-max", m_max) for m_max in ("64", "65", "129")]
 # terms: both formats, shifted starts, a pool whose spans cut sub-blocks, the
 # index where P_n passes 2^64 (n = 3810778) and ranges straddling FD_CAP = 1e10
 CASES += [
