@@ -44,6 +44,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -90,14 +91,20 @@ class RunConfig:
     checkpoint_every: int = 1 << 20
 
     def __post_init__(self):
-        for name in ("workers", "chunk", "checkpoint_every"):
-            if getattr(self, name) < 1:
-                flag = "--" + name.replace("_", "-")
-                raise ValueError(f"{flag} must be >= 1, got {getattr(self, name)}")
-        for name, flag in (("K", "--K"), ("m_max", "--m-max")):
+        """Range-check each flag the library cannot name, before any work.
+
+        Every other bound (bits, bins, L, k, K >= 1) is the library's own
+        check, with the library's message."""
+        cap, inf = equidist.MAX_HARMONIC, math.inf
+        ranges = (("workers", 1, inf), ("chunk", 1, inf), ("checkpoint_every", 1, inf),
+                  ("K", -inf, cap), ("m_max", 1, cap),
+                  ("x", 2 if self.command == "knbound" else 1, inf))  # kn_bound needs lo < hi
+        for name, low, high in ranges:
             value = getattr(self, name)
-            if value is not None and value > equidist.MAX_HARMONIC:
-                raise ValueError(f"{flag} must be <= {equidist.MAX_HARMONIC}, got {value}")
+            if value is not None and not low <= value <= high:
+                flag = "--" + name.replace("_", "-")
+                bound = f">= {low}" if value < low else f"<= {high}"
+                raise ValueError(f"{flag} must be {bound}, got {value}")
 
     def fingerprint(self) -> str:
         """Hash of the semantic configuration only.
@@ -451,10 +458,6 @@ def _cmd_weyl(cfg: RunConfig):
 def _cmd_knbound(cfg: RunConfig):
     """|S_m(N)| next to its second-derivative bound for m in [1, m_max]: N times
     weyl's ratios, so one engine pass serves every m."""
-    if cfg.m_max < 1:
-        raise ValueError(f"--m-max must be >= 1, got {cfg.m_max}")
-    if cfg.x < 2:  # kn_bound needs a range of two indices or more
-        raise ValueError(f"--x must be >= 2, got {cfg.x}")
     rows = []
     for m, ratio in equidist.weyl_profile(cfg.x, cfg.m_max, cfg.bits):
         modulus = ratio * cfg.x
@@ -609,8 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--out", choices=["csv", "json"], default="csv",
                         dest="out_format", help="output format (default csv)")
-    # parents of only the commands that read them, so no other command
-    # accepts --workers, --chunk or --bits and ignores it
+    # each flag is declared once, in a parent of only the commands that read
+    # it, so no other command accepts it and ignores it
     scan = argparse.ArgumentParser(add_help=False)
     scan.add_argument("--workers", type=int, default=None,
                       help=f"worker processes (default ${ENV_WORKERS} or 1)")
@@ -619,67 +622,58 @@ def build_parser() -> argparse.ArgumentParser:
     bits = argparse.ArgumentParser(add_help=False)
     bits.add_argument("--bits", type=int, default=exactseq.DEFAULT_BITS,
                       help="fixed-point precision of fractional parts (32 to 96)")
+    x = argparse.ArgumentParser(add_help=False)
+    x.add_argument("--x", type=int, required=True,
+                   help="last index: the command covers n = 1..x")
+    k = argparse.ArgumentParser(add_help=False)
+    k.add_argument("--k", type=int, default=1, help="moment order (default 1)")
+    m_max = argparse.ArgumentParser(add_help=False)
+    m_max.add_argument("--m-max", type=int, default=5,
+                       help="last harmonic: m = 1..m_max (default 5)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("terms", parents=[common, scan], help="resolved sequence elements")
     p.add_argument("--range", type=_parse_range, required=True, metavar="LO:HI")
 
-    p = sub.add_parser("moments", parents=[common, scan], help="exact k-th moment")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
+    p = sub.add_parser("moments", parents=[common, scan, x, k], help="exact k-th moment")
     p.add_argument("--checkpoint", help="checkpoint file for kill-resume")
     p.add_argument("--checkpoint-every", type=int, default=1 << 20,
                    help="indices between checkpoints")
 
-    p = sub.add_parser("average", parents=[common, scan], help="exact average A(x)")
-    p.add_argument("--x", type=int, required=True)
+    sub.add_parser("average", parents=[common, scan, x], help="exact average A(x)")
 
-    p = sub.add_parser("sandwich", parents=[common, scan], help="rigorous moment bracketing")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
+    p = sub.add_parser("sandwich", parents=[common, scan, x, k],
+                       help="rigorous moment bracketing")
     p.add_argument("--L", type=int, required=True, help="even bin count")
 
-    p = sub.add_parser("discrepancy", parents=[common, bits],
+    p = sub.add_parser("discrepancy", parents=[common, bits, x],
                        help="star discrepancy of the fractional parts")
-    p.add_argument("--x", type=int, required=True, help="number of points N")
     p.add_argument("--K", type=int, help="also compute the truncated sum bound")
 
-    p = sub.add_parser("weyl", parents=[common, bits], help="normalized Weyl sums")
-    p.add_argument("--x", type=int, required=True, help="number of points N")
-    p.add_argument("--m-max", type=int, default=5)
+    sub.add_parser("weyl", parents=[common, bits, x, m_max], help="normalized Weyl sums")
+    sub.add_parser("knbound", parents=[common, bits, x, m_max],
+                   help="second-derivative bounds against computed sums")
+    sub.add_parser("exceptional", parents=[common, scan, x],
+                   help="scan for nearest-square/nearest-integer disagreement")
+    sub.add_parser("nearhalf", parents=[common, scan, bits, x],
+                   help="count fractional parts within x^(-3/4) of 1/2")
 
-    p = sub.add_parser("knbound", parents=[common, bits],
-                       help="second-derivative bounds against computed sums")
-    p.add_argument("--x", type=int, required=True, help="range end N")
-    p.add_argument("--m-max", type=int, default=5)
-
-    p = sub.add_parser("exceptional", parents=[common, scan],
-                       help="scan for nearest-square/nearest-integer disagreement")
-    p.add_argument("--x", type=int, required=True)
-
-    p = sub.add_parser("nearhalf", parents=[common, scan, bits],
-                       help="count fractional parts within x^(-3/4) of 1/2")
-    p.add_argument("--x", type=int, required=True)
-
-    p = sub.add_parser("histogram", parents=[common, scan],
+    p = sub.add_parser("histogram", parents=[common, scan, x],
                        help="distance histogram over [0, 1/2]")
-    p.add_argument("--x", type=int, required=True)
     p.add_argument("--bins", type=int, default=20)
 
     # no prefix matching here, or --out would silently mean --output
-    p = sub.add_parser("optimize", parents=[output], allow_abbrev=False,
+    p = sub.add_parser("optimize", parents=[output, k], allow_abbrev=False,
                        help="balance a decreasing monomial against increasing ones (JSON)")
     p.set_defaults(out_format="json")
     p.add_argument("--expr", help='e.g. "F=x:5/2,K:-1/2;G=x:19/8,K:1/4"')
     p.add_argument("--var", help="variable to balance")
     p.add_argument("--preset", choices=["moment-residual"],
                    help="built-in balancing chain")
-    p.add_argument("--k", type=int, default=1)
 
-    p = sub.add_parser("fit", parents=[common, scan],
+    p = sub.add_parser("fit", parents=[common, scan, k],
                        help="log-log slope of moment residuals")
-    p.add_argument("--k", type=int, default=1)
     p.add_argument("--xs", required=True,
                    help="comma-separated snapshot points, e.g. 1000,10000,100000")
     return parser
@@ -689,7 +683,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     """The RunConfig of parsed arguments: every option fills the field of its own name.
 
     --workers falls back to $CANNONBALL_WORKERS, --range fills lo and hi,
-    --xs is split into a tuple and --checkpoint fills checkpoint_path.
+    --xs becomes a tuple of integers >= 1 and --checkpoint fills
+    checkpoint_path.
     """
     given = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__}
     if given.get("workers", 1) is None:
@@ -700,7 +695,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "range", None):
         given["lo"], given["hi"] = args.range
     if getattr(args, "xs", None):
-        given["xs"] = tuple(int(s) for s in args.xs.split(","))
+        parts = args.xs.split(",")
+        if not all(s.strip().isdecimal() and int(s) >= 1 for s in parts):
+            raise ValueError(f"--xs must be integers >= 1 separated by commas, got {args.xs!r}")
+        given["xs"] = tuple(map(int, parts))
     checkpoint = getattr(args, "checkpoint", None)
     if checkpoint and not os.path.isabs(checkpoint):
         ckdir = os.environ.get(ENV_CHECKPOINT_DIR)

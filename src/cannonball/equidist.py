@@ -302,13 +302,11 @@ def _harmonic_sums(pts: PhasePoints, first: int, count: int) -> tuple[np.ndarray
     tree = math.ceil(math.log2(max(POINT_BLOCK / 128, 1)))
     h = 127 + tree + -(-n // POINT_BLOCK) + 2
     gamma = h * u / (1 - h * u)
-    bounds = np.empty(count)
-    for j in runs:
-        e0 = _EVAL_ERR + 2 * math.pi * abs(first + j) * delta
-        for k in range(min(ANCHOR, count - j)):
-            per_term = rho ** k * (e0 + k * c)
-            bounds[j + k] = n * per_term + gamma * n * (1 + per_term)
-    return totals, bounds
+    r = np.arange(count)
+    k = r % ANCHOR  # distance from the run's anchor first + r - k
+    e0 = _EVAL_ERR + 2 * math.pi * np.abs(first + r - k) * delta
+    per_term = rho ** k * (e0 + k * c)
+    return totals, n * per_term + gamma * n * (1 + per_term)
 
 
 def exp_sum(lo: int, hi: int, m: int, bits: int = DEFAULT_BITS,

@@ -421,6 +421,67 @@ class TestErrors:
         assert code == 2
 
 
+# every subcommand's long options: declaring a flag once, in a parent parser,
+# neither adds nor drops one anywhere
+LONG_OPTIONS = {
+    "terms": ["--chunk", "--help", "--out", "--output", "--range", "--workers"],
+    "moments": ["--checkpoint", "--checkpoint-every", "--chunk", "--help", "--k", "--out",
+                "--output", "--workers", "--x"],
+    "average": ["--chunk", "--help", "--out", "--output", "--workers", "--x"],
+    "sandwich": ["--L", "--chunk", "--help", "--k", "--out", "--output", "--workers", "--x"],
+    "discrepancy": ["--K", "--bits", "--help", "--out", "--output", "--x"],
+    "weyl": ["--bits", "--help", "--m-max", "--out", "--output", "--x"],
+    "knbound": ["--bits", "--help", "--m-max", "--out", "--output", "--x"],
+    "exceptional": ["--chunk", "--help", "--out", "--output", "--workers", "--x"],
+    "nearhalf": ["--bits", "--chunk", "--help", "--out", "--output", "--workers", "--x"],
+    "histogram": ["--bins", "--chunk", "--help", "--out", "--output", "--workers", "--x"],
+    "optimize": ["--expr", "--help", "--k", "--output", "--preset", "--var"],
+    "fit": ["--chunk", "--help", "--k", "--out", "--output", "--workers", "--xs"],
+}
+X_COMMANDS = [c for c, options in LONG_OPTIONS.items() if "--x" in options]
+
+
+class TestFlagRanges:
+    """Each flag is range-checked once, in RunConfig, by a message naming it."""
+
+    def test_long_options_per_command(self):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        assert {name: sorted(s for a in p._actions for s in a.option_strings
+                       if s.startswith("--"))
+                for name, p in sub.choices.items()} == LONG_OPTIONS
+
+    @pytest.mark.parametrize("command", X_COMMANDS)
+    def test_x_below_its_floor_names_the_flag(self, capsys, command):
+        extra = ["--L", "2"] if command == "sandwich" else []
+        assert cli.main([command, "--x", "0", *extra]) == 2
+        captured = capsys.readouterr()
+        low = 2 if command == "knbound" else 1
+        assert (captured.out, captured.err) == ("", f"error: --x must be >= {low}, got 0\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["weyl", "--x", "10", "--m-max", "0"], "--m-max must be >= 1, got 0"),
+        (["fit", "--xs", "1,,3"], "--xs must be integers >= 1 separated by commas, got '1,,3'"),
+        (["fit", "--xs", "0,1,2"], "--xs must be integers >= 1 separated by commas, got '0,1,2'"),
+    ])
+    def test_bad_value_names_the_flag(self, capsys, argv, message):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: mo.moment(0, 1), "x must be >= 1"),
+        (lambda: mo.power_sums_at([0], (1,)), "snapshot points must be >= 1"),
+        (lambda: xs.exceptional_indices(0), "scan bound must be >= 1"),
+        (lambda: eq.sqrt_frac_points(0), "need 1 <= lo <= n"),
+        (lambda: eq.weyl_profile(10, 0), "need N >= 1 and m_max >= 1"),
+    ])
+    def test_library_messages_stay(self, call, message):
+        # API callers keep the library's own checks and words
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 class TestOptimize:
     def test_expr_mode(self, capsys):
         code, out = run_capture(

@@ -172,3 +172,34 @@ def test_memory_bounded_by_block():
     finally:
         tracemalloc.stop()
     assert peak < 16 * block * 16 < n * 16  # complex128 is 16 bytes
+
+
+def scalar_bounds(n, bits, first, count, block):
+    """The engine's docstring bound, harmonic by harmonic in Python floats:
+    at distance r from the anchor a, rho^r (E_0 + r c) per term plus the
+    summation's gamma_h N (1 + per term)."""
+    s5u = math.sqrt(5.0) * U
+    delta = 2.0 ** -bits
+    eps_w = eq._EVAL_ERR + 2 * math.pi * delta
+    rho = (1 + eps_w) * (1 + s5u)
+    c = eps_w * (1 + s5u) + s5u
+    h = 127 + math.ceil(math.log2(max(block / 128, 1))) + -(-n // block) + 2
+    gamma = h * U / (1 - h * U)
+    out = []
+    for i in range(count):
+        r = i % eq.ANCHOR
+        e0 = eq._EVAL_ERR + 2 * math.pi * abs(first + i - r) * delta
+        per_term = rho ** r * (e0 + r * c)
+        out.append(n * per_term + gamma * n * (1 + per_term))
+    return out
+
+
+@pytest.mark.parametrize("first, count", [(1, 1), (1, 63), (1, 64), (1, 65), (1, 129),
+                                          (-7, 1), (-7, 129), (40000, 1), (40000, 65)])
+@pytest.mark.parametrize("bits, block", [(96, None), (45, 16)])
+def test_bounds_equal_scalar_evaluation(first, count, bits, block):
+    """The array expression for the bounds gives the scalar bounds bit for bit."""
+    pts = eq.sqrt_frac_points(300, bits)
+    _, bounds = engine(pts, range(first, first + count), block)
+    want = scalar_bounds(300, bits, first, count, block or eq.POINT_BLOCK)
+    assert bounds.tobytes() == np.array(want).tobytes()

@@ -7,8 +7,10 @@ worktree` or `git archive` of the parent commit.  Each case in CASES runs
 as `PYTHONPATH=<tree>/src python3 -m cannonball.cli ARGS --output FILE`,
 once in BASE_DIR and once in the tree that holds this script.  One line
 per case reads `same` or `DIFF`, followed by the arguments; a case counts
-as the same when both runs exit 0 and write identical bytes.  The exit
-status is 1 if any case is not the same.  Standard library only.
+as the same when both runs give the same exit status, write the same
+bytes and print the same stderr, so the error cases gate their messages
+too.  The exit status is 1 if any case is not the same.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -97,13 +99,23 @@ CASES += [
     ("terms", "--range", "1:9", "--out", "json", "--workers", "2", "--chunk", "1"),
 ]
 
+# bad input: one case per form of error message, each exit 2 with no output
+CASES += [
+    ("moments", "--x", "0"),
+    ("weyl", "--x", "10", "--m-max", "0"),
+    ("knbound", "--x", "1"),
+    ("discrepancy", "--x", "10", "--K", "0"),
+    ("fit", "--xs", "1,,3"),
+    ("terms", "--range", "5:4"),
+]
 
-def run_case(tree: Path, args, out: Path) -> tuple[int, bytes]:
-    """(exit status, bytes written) of one CLI run from tree's src/."""
+
+def run_case(tree: Path, args, out: Path) -> tuple[int, bytes, bytes]:
+    """(exit status, bytes written, stderr) of one CLI run from tree's src/."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run([sys.executable, "-m", "cannonball.cli", *args, "--output", str(out)],
-                          env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    return proc.returncode, out.read_bytes() if out.exists() else b""
+                          env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    return proc.returncode, out.read_bytes() if out.exists() else b"", proc.stderr
 
 
 def main(argv=None, cases=CASES) -> int:
@@ -115,8 +127,8 @@ def main(argv=None, cases=CASES) -> int:
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         for i, args in enumerate(cases):
-            code, data = run_case(base, args, Path(tmp, f"base{i}"))
-            same = code == 0 and (code, data) == run_case(HEAD, args, Path(tmp, f"head{i}"))
+            same = (run_case(base, args, Path(tmp, f"base{i}"))
+                    == run_case(HEAD, args, Path(tmp, f"head{i}")))
             differ += not same
             print(f"{'same' if same else 'DIFF'}  {' '.join(args)}", flush=True)
     return 1 if differ else 0
