@@ -8,8 +8,12 @@ the double-word distance _signed_delta, within 16u^2 of the distance
 relatively (u = 2^-53), from which _frac_words splits the exact 96-bit
 fractional-part words of a sub-block and leaves to frac_mantissa the
 indices within 2^-7 of a limb boundary, the band that bound gives; and the
-starting root estimate of the vector (f, d) kernel, block_fd, whose every
-result is then proved by an integer check.
+starting root estimate of the vector (f, d) kernel, block_fd, within 3.5u
+of the root relatively.  block_fd sums P_n from per-sub-block offset
+columns, (i+1) lo^2 + lo i(i+1) + i(i+1)(2i+1)/6 past P(lo-1), in wrapping
+uint64 and in float64, and proves every result by one unsigned integer
+check, 0 <= d <= 2f; only the indices it rejects take a +-1 step on f and
+the check again.
 
 Conventions used throughout:
 
@@ -193,44 +197,83 @@ def scan_fd(lo: int, hi: int) -> tuple[list[int], list[int]]:
     return fs, ds
 
 
+# the columns i + 1, i(i+1) and i(i+1)(2i+1)/6 of block_fd's offset polynomial,
+# i < SUB_BLOCK, as uint64 and as (exact) float64
+_I = np.arange(SUB_BLOCK, dtype=np.uint64)
+_OFFSETS = (_I + 1, _I * (_I + 1), _I * (_I + 1) * (2 * _I + 1) // 6)
+_OFFSETS_F = tuple(col.astype(np.float64) for col in _OFFSETS)
+
+
 def block_fd(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact f = isqrt(P_n) and d = P_n - f^2 for every n in [lo, hi].
 
-    Up to FD_CAP a vector kernel gives int64 arrays: P_n mod 2^64 by a
-    wrapping uint64 cumsum, f from a float64 sqrt, d = P_n - f^2 mod 2^64 read
-    as int64, one +-1 step on f, and the block is kept only if 0 <= d <= 2f.
+    Up to FD_CAP a vector kernel gives int64 arrays, one sub-block of at
+    most SUB_BLOCK indices at a time (longer ranges are cut into such
+    sub-blocks and joined, as object arrays if any part is).  With n = lo + i,
 
-    The float root: n, n+1 and 2n+1 are exact doubles, two products and a
-    division by 6 round once each and the sqrt once more, so with u = 2^-53
-    the estimate is within 2.52u sqrt(P) of sqrt(P).  At n = FD_CAP that is
-    below 0.17 (sqrt(P) < 5.78e14), so the start is f-1, f or f+1; the bound
-    reaches 1 only near n = 3.3e10.
-    The residue: if |f' - sqrt(P)| <= 2 then |P - f'^2| <= 4 sqrt(P) + 4 <
-    2^53, so the int64 reading of the residue mod 2^64 is the true
-    difference, and 0 <= d <= 2f says f^2 <= P < (f+1)^2: acceptance proves
-    every element.  A wrong residue needs f' off by 2^63 / (2 sqrt(P) + 1) >
-    7000, far outside the 0.17 bound.
+        P(lo + i) = P(lo - 1) + (i+1) lo^2 + lo i(i+1) + i(i+1)(2i+1)/6,
 
-    Blocks past FD_CAP, or failing the check, come from scan_fd as object
-    arrays of exact Python ints, so callers see the same values on either
-    path.  Callers pass at most SUB_BLOCK indices (fd_blocks), which bounds
-    the kernel's memory.
+    and _OFFSETS holds the three columns in i.  P_n mod 2^64 is that sum in
+    wrapping uint64, f starts from a float64 sqrt of the same sum, and
+    d = P_n - f^2 mod 2^64 is checked once, as uint64: d <= 2f.  A negative
+    residue reads as about 2^64, so the one comparison is 0 <= d <= 2f.
+    The indices it rejects, and only those, take one +-1 step on f (down
+    where the residue is negative, up where it exceeds 2f) and the same
+    check again.
+
+    The float root: the columns are exact doubles (below 2^35), and so is
+    lo.  The sum is evaluated as ((i+1) lo + i(i+1)) lo + i(i+1)(2i+1)/6 +
+    fl(P(lo-1)), nonnegative terms only, and each term of P passes through
+    at most five roundings (the lo^2 term: two products, three sums), so
+    with u = 2^-53 the sum is within 5u P of P; the sqrt halves that and
+    rounds once, so the estimate is within 3.5u sqrt(P) of sqrt(P).  At
+    n = FD_CAP that is below 0.225 (sqrt(P) < 5.78e14), so the start f' is
+    f-1, f or f+1; the bound reaches 1 only near n = 2.7e10.
+    The residue: if |f' - sqrt(P)| <= 2 then R = P - f'^2 has |R| <=
+    4 sqrt(P) + 4 < 2^53, so d = R mod 2^64 is R itself when R >= 0 and
+    above 2^63 > 2f' when R < 0 (where its int64 reading is R, whose sign
+    the step takes).  So d <= 2f' holds exactly when 0 <= R <= 2f', that is
+    f'^2 <= P < (f'+1)^2, and then d = R: acceptance proves every element.
+    A wrong reading needs f' off by 2^63 / (2 sqrt(P) + 1) > 7000, far
+    outside the 0.225 bound.
+
+    Blocks past FD_CAP, or failing the check after the step, come from
+    scan_fd as object arrays of exact Python ints, so callers see the same
+    values on either path.  Callers pass at most SUB_BLOCK indices
+    (fd_blocks), which bounds the kernel's memory.
     """
     if lo < 1 or hi < lo:
         raise ValueError(f"invalid range [{lo}, {hi}]")
+    if hi - lo >= SUB_BLOCK:
+        parts = [block_fd(s, min(s + SUB_BLOCK - 1, hi)) for s in range(lo, hi + 1, SUB_BLOCK)]
+        return tuple(map(np.concatenate, zip(*parts)))
     if hi <= FD_CAP:
-        n = np.arange(lo, hi + 1, dtype=np.uint64)
-        sq = n * n
-        sq[0] = pyramidal(lo) % (1 << 64)
-        p = np.cumsum(sq)
-        nf = n.astype(np.float64)
-        f = np.sqrt(nf * (nf + 1.0) * (2.0 * nf + 1.0) / 6.0).astype(np.int64)
+        m = hi - lo + 1
+        (a, b, c), (af, bf, cf) = _OFFSETS, _OFFSETS_F
+        p0 = pyramidal(lo - 1)
+        p = a[:m] * lo
+        p += b[:m]
+        p *= lo
+        p += c[:m]
+        p += p0 % (1 << 64)
+        t = af[:m] * float(lo)
+        t += bf[:m]
+        t *= float(lo)
+        t += cf[:m]
+        t += float(p0)
+        f = np.sqrt(t).astype(np.int64)
         fu = f.view(np.uint64)  # shares memory with f
-        d = (p - fu * fu).view(np.int64)
-        f += (d > 2 * f).astype(np.int64) - (d < 0)
-        d = (p - fu * fu).view(np.int64)
-        if d.min() >= 0 and (2 * f - d).min() >= 0:
-            return f, d
+        d = p - fu * fu
+        bad = d > fu + fu
+        if np.count_nonzero(bad):
+            i = np.flatnonzero(bad)
+            f[i] += np.sign(d[i].view(np.int64))
+            fi = fu[i]
+            di = p[i] - fi * fi
+            d[i] = di
+            bad = di > fi + fi
+        if not np.count_nonzero(bad):
+            return f, d.view(np.int64)
     fs, ds = scan_fd(lo, hi)
     return np.array(fs, dtype=object), np.array(ds, dtype=object)
 

@@ -10,8 +10,12 @@ memory budget.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,21 +134,36 @@ def test_cold_build_memory(monkeypatch):
     assert peak < 96 * n
 
 
-def test_lower_precision_is_a_view(monkeypatch):
+_COLD_BUILD = """
+import sys, tracemalloc
+import numpy as np
+from cannonball import equidist as eq
+tracemalloc.start()
+pts = eq.sqrt_frac_points(int(sys.argv[1]), int(sys.argv[2]))
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(peak, np.shares_memory(pts.words, eq._table))
+"""
+
+
+def test_lower_precision_is_a_view():
     """A cold sqrt_frac_points(n, 48) allocates no more than the 96-bit call:
     every precision is a view of the table, and its readers clear the low
-    bits one POINT_BLOCK at a time (a masked copy would add 24 B per index)."""
+    bits one POINT_BLOCK at a time (a masked copy would add 24 B per index).
+
+    Each build runs in a fresh interpreter.  In one process the second
+    build's peak also carries numpy's shape-buffer refills, since the first
+    build's arrays are still alive: tens to hundreds of bytes either way,
+    depending on what ran before."""
     n = 60000
+    env = dict(os.environ, PYTHONPATH=str(Path(eq.__file__).resolve().parent.parent))
     peaks = {}
     for bits in (96, 48):
-        monkeypatch.setattr(eq, "_table", np.empty((0, 3), np.int64))
-        tracemalloc.start()
-        try:
-            pts = eq.sqrt_frac_points(n, bits)
-            peaks[bits] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.shares_memory(pts.words, eq._table)
+        proc = subprocess.run([sys.executable, "-c", _COLD_BUILD, str(n), str(bits)], env=env,
+                              capture_output=True, text=True, check=True)
+        peak, shared = proc.stdout.split()
+        assert shared == "True"
+        peaks[bits] = int(peak)
     assert peaks[48] <= peaks[96]
 
 

@@ -98,6 +98,13 @@ CASES += [
     ("terms", "--range", "1:4097", "--out", "json", "--workers", "2", "--chunk", "4096"),
     ("terms", "--range", "1:9", "--out", "json", "--workers", "2", "--chunk", "1"),
 ]
+# terms where block_fd's +-1 step fires on most sub-blocks: near n = 1e9, and
+# the last indices below FD_CAP = 1e10
+CASES += [
+    ("terms", "--range", "999990000:1000010000"),
+    ("terms", "--range", "999990000:1000010000", "--workers", "2", "--chunk", "4097"),
+    ("terms", "--range", "9999980000:10000000000", "--out", "json"),
+]
 
 # bad input: one case per form of error message, each exit 2 with no output
 CASES += [
