@@ -239,13 +239,12 @@ def block_fd(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
 
     Blocks past FD_CAP, or failing the check after the step, come from
     scan_fd as object arrays of exact Python ints, so callers see the same
-    values on either path.  Callers pass at most SUB_BLOCK indices
-    (fd_blocks), which bounds the kernel's memory.
+    values on either path.
     """
     if lo < 1 or hi < lo:
         raise ValueError(f"invalid range [{lo}, {hi}]")
     if hi - lo >= SUB_BLOCK:
-        parts = [block_fd(s, min(s + SUB_BLOCK - 1, hi)) for s in range(lo, hi + 1, SUB_BLOCK)]
+        parts = [(f, d) for _, f, d in fd_blocks(lo, hi)]
         return tuple(map(np.concatenate, zip(*parts)))
     if hi <= FD_CAP:
         m = hi - lo + 1

@@ -13,7 +13,7 @@ SCRIPT = ROOT / "tools" / "kernel_rate.py"
 
 def test_four_int64_rows():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(SCRIPT), "--repeat", "1", "--calls", "1"],
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--repeat", "1"],
                           env=env, capture_output=True, text=True, check=True)
     header, *rows = proc.stdout.splitlines()
     assert header.split() == ["start", "ns/index", "dtype"]
@@ -28,4 +28,4 @@ def test_rejects_zero_repeat():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(SCRIPT), "--repeat", "0"],
                           env=env, capture_output=True, text=True)
-    assert proc.returncode == 2 and "--repeat and --calls must be >= 1" in proc.stderr
+    assert proc.returncode == 2 and "--repeat must be >= 1" in proc.stderr
