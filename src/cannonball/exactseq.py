@@ -1,11 +1,12 @@
 """Exact integer core for square pyramidal numbers and their nearest squares.
 
 Everything in this module is decided by integer comparisons: no floating
-point result ever determines a classification.  The only floats are the
-distance estimate _distances, whose one certified error bound sets the
-tolerance of every prefilter built on it (distance_bins, near_half_count);
+point result ever determines a classification.  The near-half prefilter of
+near_half_count compares the exact integer |d - f| with a threshold rounded
+up.  The only float estimates are distance_bins' branch-free distance,
+within 6.01u of it absolutely (u = 2^-53), which sets its edge tolerance;
 the double-word distance _signed_delta, within 16u^2 of the distance
-relatively (u = 2^-53), from which _frac_words splits the exact 96-bit
+relatively, from which _frac_words splits the exact 96-bit
 fractional-part words of a sub-block and leaves to frac_mantissa the
 indices within 2^-7 of a limb boundary, the band that bound gives; and the
 starting root estimate of the vector (f, d) kernel, block_fd, within 3.5u
@@ -434,7 +435,7 @@ def _signed_delta(f: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     f and d are int64 with 0 <= d <= 2f and 1 <= f < 2^50, so f, d, the
     nearest root y and a = p - y^2 (negative above the half) are exact
     doubles; the value is {sqrt(p)} below the half and {sqrt(p)} - 1 above
-    it, so |value| = delta = |sqrt(p) - y| (_distances).  A double word is
+    it, so |value| = delta = |sqrt(p) - y| (distance_bins).  A double word is
     an unevaluated sum hi + lo with |lo| <= ulp(hi) / 2.  With u = 2^-53 and
     s = sqrt(p), every step is exact (Knuth's two_sum, and Dekker's two_prod
     with Veltkamp's split, Numer. Math. 18, 1971, each returning the one
@@ -531,35 +532,6 @@ def _mantissas(words: np.ndarray, bits: int) -> list[int]:
     return [((w2 << 64) | (w1 << 32) | w0) >> (96 - bits) for w0, w1, w2 in words.tolist()]
 
 
-def _distances(f: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """delta = |sqrt(p) - y| for p = f^2 + d, as float64 within 6.01u * delta.
-
-    With y the nearest root (f, or f + 1 when d > f) and a = |p - y^2| the
-    exact integer distance, delta = a / (y + sqrt(p)), so no cancellation is
-    left to the float arithmetic.  With u = 2^-53, every step rounds once,
-    by a factor 1 + t with |t| <= u:
-
-    * a, y, f and d become float64 once each; that is exact below 2^53, so
-      in every kernel block (f < 2^50 below FD_CAP), and one rounding on the
-      Python ints of object blocks past FD_CAP;
-    * q = fl(f)^2 + fl(d) adds two roundings to a sum of nonnegative terms,
-      so q/p lies in [(1-u)^4, (1+u)^4];
-    * sqrt(q) halves that, and rounds once: sqrt(p) [(1-u)^3, (1+u)^3];
-    * fl(y) + sqrt(q), again a sum of nonnegative terms and one rounding:
-      (y + sqrt(p)) [(1-u)^4, (1+u)^4];
-    * fl(a) / that, one rounding: delta [(1-u)^2 / (1+u)^4, (1+u)^2 / (1-u)^4].
-
-    So the result is within 6.01u * delta of delta, and within 3.01u since
-    delta < 1/2.  distance_bins and near_half_count take their tolerances
-    from this bound.
-    """
-    below = d <= f
-    y = np.where(below, f, f + 1).astype(np.float64)
-    a = np.where(below, d, 2 * f + 1 - d).astype(np.float64)
-    ff = f.astype(np.float64)
-    return a / (y + np.sqrt(ff * ff + d.astype(np.float64)))
-
-
 def _exact_bin(f: int, d: int, L: int) -> int:
     """floor(L * delta) + 1 by one big-int isqrt: the exact fallback of distance_bins.
 
@@ -575,18 +547,38 @@ def distance_bins(f: np.ndarray, d: np.ndarray, L: int) -> np.ndarray:
     """Bin j = floor(L * delta) + 1 of delta = |sqrt(p) - y| for each p = f^2 + d.
 
     Bin j holds (j-1)/L < delta <= j/L, with the zero distances of perfect
-    squares in bin 1.  t = fl(L * _distances(f, d)) adds one rounding to
-    the _distances bound, so |t - L delta| <= 7.02u * L * delta < 3.6u * L
-    <= tol = 2^-51 * L (u = 2^-53, L < 2^53).  Where t lies more than tol
-    from every integer, no integer lies between t and L delta, and floor(t)
-    is exact; t - rint(t) is itself exact for t < 2^52, and every larger t
-    is an integer.  L * delta is irrational for non-square p, so only the
-    indices within tol of an edge, and the squares (t = 0), take the exact
-    _exact_bin.  Returns int64 bins.
+    squares in bin 1.  The estimate has no branch: theta = {sqrt(p)} =
+    d / (f + sqrt(f^2 + d)) in float64, and delta = min(theta, 1 - theta).
+    With u = 2^-53, every step rounds once, by a factor 1 + e with |e| <= u:
+
+    * f and d become float64 once each; that is exact below 2^53, so in
+      every kernel block (f < 2^50 below FD_CAP), and one rounding on larger
+      int64 and on the Python ints of object blocks past FD_CAP;
+    * fl(f)^2 + fl(d) adds two roundings to a sum of nonnegative terms, so
+      it lies within [(1-u)^4, (1+u)^4] of p;
+    * sqrt halves that and rounds once: sqrt(p) [(1-u)^3, (1+u)^3];
+    * fl(f) + that, a sum of nonnegative terms and one rounding:
+      (f + sqrt(p)) [(1-u)^4, (1+u)^4];
+    * fl(d) / that, one rounding: theta' is within 6.01u theta < 6.01u of
+      theta.
+
+    Where theta' >= 1/2, 1 - theta' is exact (Sterbenz), and where
+    theta' < 1/2 the min takes theta', so the computed delta' is
+    min(theta', 1 - theta') exactly; a min moves by no more than its
+    arguments, so |delta' - delta| < 6.01u.  t = fl(L * delta') adds u L / 2
+    (delta' <= 1/2), so |t - L delta| < 6.6u * L < tol = 2^-50 * L
+    (L < 2^53).  Where t lies more than tol from every integer, no integer
+    lies between t and L delta, and floor(t) is exact; t - rint(t) is
+    itself exact for t < 2^52, and every larger t is an integer.  L * delta
+    is irrational for non-square p, so only the indices within tol of an
+    edge, and the squares (t = 0), take the exact _exact_bin.  Returns
+    int64 bins.
     """
-    t = L * _distances(f, d)
+    ff, dd = f.astype(np.float64), d.astype(np.float64)
+    theta = dd / (ff + np.sqrt(ff * ff + dd))
+    t = L * np.minimum(theta, 1 - theta)
     j = np.floor(t).astype(np.int64) + 1
-    for i in np.flatnonzero(np.abs(t - np.rint(t)) <= L * 2.0 ** -51).tolist():
+    for i in np.flatnonzero(np.abs(t - np.rint(t)) <= L * 2.0 ** -50).tolist():
         j[i] = _exact_bin(int(f[i]), int(d[i]), L)
     return j
 
@@ -655,20 +647,34 @@ def near_half_count(x: int, bits: int = DEFAULT_BITS, *, workers: int = 1,
     excluded by convention.  bits lies in [32, 96] (check_bits): the cost
     grows about as bits^1.8, through 2^(4 bits) and the mantissas.
 
-    A certified float prefilter skips indices whose margin provably clears
-    the window.  The margin |{sqrt(p)} - 1/2| is 1/2 - delta, and a
-    mantissa margin within T + 2 means a true margin below c - 2^-bits,
-    c = (T + 4) / 2^bits.  The computed 0.5 - _distances(f, d) exceeds the
-    true margin by at most 3.01u (u = 2^-53) plus u/4 for rounding the
-    subtraction (exact, by Sterbenz, once delta >= 1/4), while
-    fl(fl(c) + 2^-50) >= c + 6.9u when c < 1/2, and is at least 1/2, above
-    every margin, otherwise.  So keeping the indices whose computed margin
-    is at most that sum keeps every index the window or the flag zone can
-    hold.  The prefilter runs as vector compares on each (f, d) sub-block;
-    only the survivors take the exact fixed-point path, one frac_mantissa
-    each.  A sub-block holds about 2 N x^(-3/4) of them, N = min(x, 4096),
-    at most about 16, and one frac_mantissa (about 2-3 us) costs far less
-    than one _frac_words call (about 0.1-0.17 ms at any length).
+    A prefilter in integers skips the indices whose margin provably clears
+    the window.  A mantissa margin within T + 2 means a true margin
+    |theta - 1/2| below c - 2^-bits, theta = {sqrt(p)} and
+    c = (T + 4) / 2^bits.  With s = sqrt(p) = f + theta,
+
+        d - f - 1/4 = s^2 - (f + 1/2)^2 = (theta - 1/2)(s + f + 1/2),
+
+    and s + f + 1/2 < 2f + 3/2, so such an index has |d - f| <
+    c(2f + 3/2) + 1/4, which is below 2cf + 1 when c < 1/2; when c >= 1/2
+    every index has |d - f| <= f <= 2cf.  The prefilter keeps
+    |d - f| <= fl(fl(f) c2) + 2 with c2 = fl(fl(2c) (1 + 2^-50)).  With
+    u = 2^-53, fl(2c) (a correctly rounded quotient of integers) and the
+    product each lose at most a factor 1 - u, so c2 >= 2c (1-u)^2 (1 + 8u).
+    f becomes float64 exactly below 2^53 (every kernel block) and with one
+    rounding past it (object blocks), and the product and the sum round
+    once each, so the threshold is at least
+    2cf (1-u)^5 (1 + 8u) + 2(1 - u) > 2cf + 1.  The left side is the exact
+    integer |d - f|: numpy may round it to float64 to compare, and
+    rounding is monotone, so no index below the threshold is lost; object
+    blocks compare Python ints with floats exactly.  So the kept indices
+    hold every index the window or the flag zone can hold, and for c >= 1/2
+    (x <= 2) they are every index.  The prefilter runs as vector compares
+    on each (f, d) sub-block; only the survivors take the exact fixed-point
+    path, one frac_mantissa each.  A sub-block of N = min(x, 4096) indices
+    keeps about 2 N x^(-3/4) of them, at most about 16, plus about 2/f per
+    index from the slack (a handful in all, at the smallest n), and one
+    frac_mantissa (about 2-3 us) costs far less than one _frac_words call
+    (about 0.1-0.17 ms at any length).
     """
     if x < 1:
         raise ValueError("scan bound must be >= 1")
@@ -681,10 +687,10 @@ def near_half_count(x: int, bits: int = DEFAULT_BITS, *, workers: int = 1,
 def _near_half_part(bits: int, t_int: int, s: int, f: np.ndarray,
                     d: np.ndarray) -> tuple[int, int]:
     half = 1 << (bits - 1)
-    cutoff = (t_int + 4) / (1 << bits) + 2.0 ** -50
+    c2 = (t_int + 4) / half * (1 + 2.0 ** -50)  # 2c rounded up; see near_half_count
     count = borderline = 0
     # perfect squares (d = 0) are excluded from the window
-    idx = np.flatnonzero((d != 0) & (0.5 - _distances(f, d) <= cutoff))
+    idx = np.flatnonzero((d != 0) & (np.abs(d - f) <= f * c2 + 2))
     for a, b in zip(f[idx].tolist(), d[idx].tolist()):
         w = frac_mantissa(a, b, bits)
         m = abs(w - half)

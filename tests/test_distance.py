@@ -76,8 +76,8 @@ class TestDistanceBins:
     @given(f=st.one_of(st.integers(2**58, 2**61), OBJECT_F), L=BIN_COUNTS, data=st.data())
     def test_edges_take_the_fallback(self, f, L, data):
         # with f >= 2^58, L sqrt(p) lies within L/(2f) <= 2^-59 L of the edge,
-        # so even with the estimate's 3.6u L error (u = 2^-53) the computed
-        # value is inside the tolerance 2^-51 L: only the fallback can decide
+        # so even with the estimate's 6.6u L error (u = 2^-53) the computed
+        # value is inside the tolerance 2^-50 L: only the fallback can decide
         s = data.draw(st.integers(1, L - 1))
         ps = edge_pairs(f, L, s)
         counter = CountingFallback()

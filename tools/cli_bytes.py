@@ -105,6 +105,10 @@ CASES += [
     ("terms", "--range", "999990000:1000010000", "--workers", "2", "--chunk", "4097"),
     ("terms", "--range", "9999980000:10000000000", "--out", "json"),
 ]
+# nearhalf where index 24108 lies in the flag zone (borderline 1), and at
+# x = 1 and 2, where the prefilter's margin c is at least 1/2 and every index survives
+CASES += [("nearhalf", "--x", "47109", "--bits", "32"), ("nearhalf", "--x", "1"),
+          ("nearhalf", "--x", "2")]
 
 # bad input: one case per form of error message, each exit 2 with no output
 CASES += [
