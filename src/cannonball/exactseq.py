@@ -524,14 +524,6 @@ def _frac_words(f: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, int]:
     return words, len(idx)
 
 
-def _mantissas(words: np.ndarray, bits: int) -> list[int]:
-    """floor(2^bits x) = w >> (96 - bits) for each 96-bit word w = floor(2^96 x), as Python ints."""
-    if bits <= 64:
-        top = (words[:, 2].astype(np.uint64) << np.uint64(32)) | words[:, 1].astype(np.uint64)
-        return (top >> np.uint64(64 - bits)).tolist()
-    return [((w2 << 64) | (w1 << 32) | w0) >> (96 - bits) for w0, w1, w2 in words.tolist()]
-
-
 def _exact_bin(f: int, d: int, L: int) -> int:
     """floor(L * delta) + 1 by one big-int isqrt: the exact fallback of distance_bins.
 

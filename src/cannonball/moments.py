@@ -1,13 +1,13 @@
 """Exact moments of the nearest-square distance sequence and their asymptotics.
 
 M_k(x) = sum of a_n^k over n <= x is accumulated as a Python integer, so
-every reported moment is exact.  Within a kernel (f, d) sub-block the sums
-at k <= 3 are exact int64 column sums of fixed-width limb products
-(_limb_power_sum), and at k >= 4 the sum is taken modulo 2^64 and modulo
-enough 31-bit primes in uint64 and rebuilt exactly by the Chinese remainder
-theorem (_residue_power_sums); on object blocks past FD_CAP they are
-Python-int powers.  Main terms are evaluated with mpmath at WORK_PREC bits;
-residuals are exact-minus-main at that precision.
+every reported moment is exact.  Within a kernel (f, d) sub-block every
+exact power sum, of the moments and of the sandwich's numerators alike, is
+taken modulo 2^64 and modulo enough of 63 primes below 2^31 in uint64 and
+rebuilt by the Chinese remainder theorem (_residue_power_sums); on object
+blocks past FD_CAP they are Python-int powers.  Main terms are evaluated
+with mpmath at WORK_PREC bits; residuals are exact-minus-main at that
+precision.
 
 The sandwich bounds bracket M_k(x) rigorously: a_n = delta_n (sqrt(P_n) + y_n),
 delta_n lies in the distance bin j_n and the weight sqrt(P_n) + y_n between
@@ -15,22 +15,21 @@ fixed-point values, so both bounds are exact integer sums over n divided by
 one integer, and `lower <= exact <= upper` is an integer-arithmetic fact,
 not an approximation.  No per-bin sums are kept: weighting the per-bin sums
 of t_n^k by j^k gives the same integer as summing (j_n t_n)^k per index,
-which at k = 1, 2 is again an int64 limb sum.
+which is again a residue sum.
 """
-
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import combinations_with_replacement, repeat
+from functools import cache, partial
+from itertools import repeat
 
 import mpmath as mp
 import numpy as np
 
-from .exactseq import CHUNK, MAX_BINS, _frac_words, _mantissas, check_bits, distance_bins, scan
+from .exactseq import CHUNK, MAX_BINS, _frac_words, check_bits, distance_bins, scan
 
 K_MAX = 12          # accumulator cap; configurable but bounded on purpose
 WORK_PREC = 256     # binary precision for main terms and residuals
@@ -79,132 +78,117 @@ class FitReport:
     intercept: float
 
 
-def _limb_power_sum(cols, w: int, k: int) -> int:
-    """Exact sum of v^k, k in {1, 2, 3}, for v = sum_i cols[i] 2^(w i) given as int64 limb columns.
-
-    v^k is the sum of the products of k limbs.  Each distinct product, a
-    multiset of limb indices, is summed once as an int64 column, and only
-    then weighted in Python ints by its multiplicity (the multinomial
-    coefficient) and by 2^(w * its index sum).  Callers bound every
-    column sum below 2^63.
-    """
-    total = 0
-    for combo in combinations_with_replacement(range(len(cols)), k):
-        prod = cols[combo[0]]
-        for i in combo[1:]:
-            prod = prod * cols[i]
-        times = math.factorial(k) // math.prod(math.factorial(combo.count(i)) for i in set(combo))
-        total += times * int(prod.sum()) << (w * sum(combo))
-    return total
-
-
 def _power_sums_part(ks, s: int, f: np.ndarray, d: np.ndarray) -> tuple[int, ...]:
-    """Exact sums of a^k for each k in ks over one (f, d) sub-block.
+    """Exact sums of a^k for each k in ks over one (f, d) sub-block, a = min(d, 2f + 1 - d).
 
-    On the kernel path a <= f < 2^50 below FD_CAP and a sub-block holds at
-    most 2^12 terms, so every int64 column sum is exact:
-
-    * k = 1: a.sum() < 2^50 2^12 = 2^62;
-    * k = 2: two 25-bit limbs, each product of two below 2^50, so each of
-      the 3 distinct column sums stays below 2^62;
-    * k = 3: three 17-bit limbs (a < 2^51), each product of three below
-      2^51, so each of the 10 distinct column sums stays below 2^63;
-    * k >= 4: residue sums joined by the CRT (_residue_power_sums).
-
-    Past the cap a holds Python ints, and every power at k >= 2 is a
-    Python-int power.
+    On the kernel path a is one row of _residue_power_sums with top =
+    max(a): below FD_CAP a <= f < 2^50 and a sub-block holds at most 2^12
+    terms, so at k = 1 the sum is below 2^62 and needs no prime, and the
+    bound 2^12 (2^50)^12 = 2^612 at k = K_MAX needs 18 primes at most.
+    The residues mod p are a itself while top < p.  Past the cap a holds
+    Python ints, and every power at k >= 2 is a Python-int power.
     """
-    a = np.where(d <= f, d, 2 * f + 1 - d)
+    a = f + f - d
+    a += 1
+    np.minimum(a, d, out=a)
     if a.dtype == object:
         values = a.tolist() if max(ks) > 1 else None
         return tuple(int(a.sum()) if k == 1 else sum(map(pow, values, repeat(k))) for k in ks)
-    high = [k for k in ks if k >= 4]
-    by_residues = dict(zip(high, _residue_power_sums(high, a))) if high else {}
-    sums = []
-    for k in ks:
-        if k == 1:
-            sums.append(int(a.sum()))
-        elif k <= 3:
-            w = 25 if k == 2 else 17
-            sums.append(_limb_power_sum([a >> (w * i) & ((1 << w) - 1) for i in range(k)], w, k))
-        else:
-            sums.append(by_residues[k])
-    return tuple(sums)
+    u, top = a.view(np.uint64)[None], int(a.max(initial=0))
+    sums = _residue_power_sums(ks, lambda q: u if q is None or top < q else _mod(u.copy(), q), top)
+    return tuple(row for row, in sums)
 
 
-# The 18 largest primes below 2^31.  With 2^64 they are pairwise coprime
-# moduli whose product exceeds 2^621, more than any sum _residue_power_sums
-# rebuilds (see there).
+# The 63 largest primes below 2^31, all above 2^31 - 2^11.  With 2^64 they
+# are pairwise coprime moduli whose product exceeds 2^2016, the largest
+# bound _residue_power_sums meets (see _sandwich_part).
 _PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
            2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
-           2147483353, 2147483323, 2147483269, 2147483249, 2147483237, 2147483179)
+           2147483353, 2147483323, 2147483269, 2147483249, 2147483237, 2147483179,
+           2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
+           2147483053, 2147483033, 2147483029, 2147482951, 2147482949, 2147482943,
+           2147482937, 2147482921, 2147482877, 2147482873, 2147482867, 2147482859,
+           2147482819, 2147482817, 2147482811, 2147482801, 2147482763, 2147482739,
+           2147482697, 2147482693, 2147482681, 2147482663, 2147482661, 2147482621,
+           2147482591, 2147482583, 2147482577, 2147482507, 2147482501, 2147482481,
+           2147482417, 2147482409, 2147482367, 2147482361, 2147482349, 2147482343,
+           2147482327, 2147482291, 2147482273)
 
 
+@cache
 def _crt(t: int) -> tuple[int, tuple[int, ...]]:
     """M = 2^64 p_1 ... p_t and the CRT coefficients of its moduli m_i (2^64,
     then p_1..p_t): c_i = (M/m_i) ((M/m_i)^-1 mod m_i), so c_i = 1 mod m_i and
-    c_i = 0 mod every other modulus."""
+    c_i = 0 mod every other modulus.  Built on first use, not at import."""
+    if t > len(_PRIMES):
+        raise ValueError(f"bound past 2^64 times all {len(_PRIMES)} primes")
     moduli = (1 << 64, *_PRIMES[:t])
     m = math.prod(moduli)
     return m, tuple(m // q * pow(m // q, -1, q) for q in moduli)
 
 
-# built at import: about 0.6 ms on one core of a 2-vCPU Xeon VM
-_CRT = tuple(_crt(t) for t in range(len(_PRIMES) + 1))
+def _mod(z: np.ndarray, q) -> np.ndarray:
+    """z reduced mod q in place, for uint64 z and a uint64 scalar q; z itself for q None."""
+    if q is not None:
+        w = z // q  # a scalar // takes numpy's fast path, unlike %
+        w *= q
+        z -= w
+    return z
 
 
-def _pow_mod(r: np.ndarray, k: int, p) -> np.ndarray:
-    """r^k by squaring on uint64 r: mod p for p < 2^31 and r < p, where each
-    product of two residues is below 2^62, or mod 2^64 (p None), where
+def _pow_mod(r: np.ndarray, k: int, q) -> np.ndarray:
+    """r^k by squaring on uint64 r: mod q for q < 2^31 and r < q, where each
+    product of two residues is below 2^62, or mod 2^64 (q None), where
     numpy's unsigned products wrap."""
     out, sq = None, r
     while True:
         if k & 1:
-            out = sq if out is None else _mul_mod(out, sq, p)
+            out = sq if out is None else _mod(out * sq, q)
         k >>= 1
         if not k:
             return out
-        sq = _mul_mod(sq, sq, p)
+        sq = _mod(sq * sq, q)
 
 
-def _mul_mod(x: np.ndarray, y: np.ndarray, p) -> np.ndarray:
-    z = x * y
-    if p is not None:
-        z -= z // p * p  # a scalar // takes numpy's fast path, unlike %
-    return z
+def _residue_power_sums(ks, residue, top: int) -> list[list[int]]:
+    """Exact row sums S of v^k for each k in ks over a (rows, n) block of values v, from residues.
 
-
-def _residue_power_sums(ks, a: np.ndarray) -> list[int]:
-    """Exact S = sum of a^k for each k in ks over an int64 kernel block, from residues.
-
-    With n = len(a) <= 2^12 and top = max(a), 0 <= S <= B = n top^k.  S is
-    taken modulo 2^64 and modulo the fewest t of _PRIMES that make M =
-    2^64 p_1 ... p_t > B, all in uint64:
+    residue(None) gives the values mod 2^64 and residue(q) their residues
+    mod a prime q, each as a (rows, n) uint64 array with n < 2^33; every v
+    lies in [0, top].  So 0 <= S <= B = n top^k, and S is taken modulo
+    2^64 and modulo the fewest t of _PRIMES that make M = 2^64 p_1 ... p_t
+    > B, all in uint64:
 
     * mod 2^64: numpy's uint64 products and sums wrap modulo 2^64, so the
-      power by squaring and the sum of a.astype(uint64) give S mod 2^64;
-    * mod p < 2^31: r = a mod p (a itself when top < p) lies below p, every
-      product of two residues below 2^62 is exact and reduced at once, and
-      a sum of at most 2^12 residues stays below 2^43.  Every k shares r.
+      power by squaring and the row sums give S mod 2^64;
+    * mod p < 2^31: every residue lies below p, every product of two
+      residues is below 2^62, exact and reduced at once, and a row sum of n
+      residues stays below 2^64.  Every k shares one residue(q).
 
-    The moduli are pairwise coprime, so with _CRT's coefficients sum r_i c_i
+    The moduli are pairwise coprime, so with _crt's coefficients sum r_i c_i
     is S modulo each m_i, hence modulo M, and 0 <= S <= B < M makes S =
-    sum r_i c_i mod M.  t = 18 always suffices: below FD_CAP a < 2^50 and
-    k <= K_MAX = 12, so B < 2^12 (2^50)^12 = 2^612, while 2^64 times the 18
-    primes, each above 2^31 - 2^10, exceeds 2^621.
+    sum r_i c_i mod M.  With B < 2^64 (t = 0) S is its uint64 sum itself.
+    All 63 primes cover B up to 2^2016.
     """
-    u = a.astype(np.uint64)
-    n, top = len(a), int(a.max(initial=0))
-    ts = [next(t for t, (m, _) in enumerate(_CRT) if m > n * top ** k) for k in ks]
-    residues = [[int(_pow_mod(u, k, None).sum(dtype=np.uint64))] for k in ks]
+    u = residue(None)
+    ts = []
+    for k in ks:
+        t, bound = 0, u.shape[1] * top ** k
+        while _crt(t)[0] <= bound:
+            t += 1
+        ts.append(t)
+    sums = [[_pow_mod(u, k, None).sum(axis=1, dtype=np.uint64).tolist()] for k in ks]
     for i, p in enumerate(_PRIMES[:max(ts)]):
         q = np.uint64(p)
-        r = u if top < p else u - u // q * q
-        for k, t, res in zip(ks, ts, residues):
+        r = residue(q)
+        for k, t, res in zip(ks, ts, sums):
             if i < t:
-                res.append(int(_pow_mod(r, k, q).sum()))
-    return [sum(map(operator.mul, res, _CRT[t][1])) % _CRT[t][0]
-            for t, res in zip(ts, residues)]
+                res.append(_pow_mod(r, k, q).sum(axis=1).tolist())
+    out = []
+    for t, res in zip(ts, sums):
+        m, coeffs = _crt(t)
+        out.append([sum(map(operator.mul, col, coeffs)) % m for col in zip(*res)] if t else res[0])
+    return out
 
 
 def _check_k(k: int):
@@ -329,78 +313,65 @@ def _sandwich_part(k: int, L: int, bits: int, s: int, fs: np.ndarray,
                    ds: np.ndarray) -> tuple[int, int, int]:
     """The sandwich's lower and upper numerators and M_k over one (f, d) sub-block.
 
-    The numerators sum v^k for v = (j - 1) t and v' = j (t + 1).  On kernel
-    blocks at k = 1, 2 they are int64 limb sums (_limb_power_sum), with
-    these bounds:
+    The numerators sum v^k for v = (j - 1) t and v' = j' (t + 1), where j'
+    = j, or 0 on the perfect squares (d = 0), which are omitted; their bin
+    j = 1 already gives v = 0.  On kernel blocks v and v' are the two rows
+    of _residue_power_sums:
 
-    * t = 2^bits (f + y) + (W >> (96 - bits)) < 2^(51 + bits), since
-      f + y <= 2f + 1 < 2^51 (f < 2^50 below FD_CAP);
-    * j <= L/2 <= MAX_BINS = 2^20 (delta < 1/2), so v < 2^(71 + bits) and
-      v' <= 2^(71 + bits) < 2^(24 n) for n = ceil((bits + 72) / 24), at
-      most 7 limbs over bits in [32, 96];
-    * t is read in n 24-bit limbs; j times a limb, plus j in limb 0 for
-      v', is at most 2^20 2^24 = 2^44, so one carry pass (carries below
-      2^21) normalizes v and v' into n 24-bit limbs with no carry left;
-    * over at most 2^12 terms a k = 1 column sum stays below 2^36 and a
-      k = 2 product column sum below 2^48 2^12 = 2^60.
+    * t = 2^bits g + (W >> (96 - bits)) with g = f + y = 2f + [d > f] <
+      2^51 (f < 2^50 below FD_CAP), so t < 2^(51 + bits) is read in
+      ceil((bits + 51) / 31) 31-bit limbs l_i, bits [96 - bits + 31 i, + 31)
+      of 2^96 g + W, from its 32-bit words (W's three, then g's two);
+    * t mod 2^64 is l_0 + 2^31 l_1 + 2^62 l_2 in wrapping uint64;
+    * t mod p is sum l_i (2^(31 i) mod p), reduced once: p = 2^31 - e with
+      e < 2^11 (see _PRIMES), so 2^31 mod p = e and 2^62 mod p = e^2 <
+      2^22, and the at most five terms stay below 2^31 + 2^42 + 2^53 +
+      2 * 2^62 < 2^64;
+    * j <= L/2 <= MAX_BINS = 2^20 (delta < 1/2), so (j - 1) (t mod p) and
+      j' (t mod p) + j' lie below 2^52 before their reduction;
+    * v, v' <= top = max(j) ((2 max(f) + 2) << bits), since t + 1 <=
+      2^bits (g + 1); at bits = 96 and k = K_MAX over 2^12 terms the bound
+      n top^k reaches 2^12 (2^20 2^51 2^96)^12 = 2^2016, which all 63
+      primes of _PRIMES cover.
 
-    Object blocks past FD_CAP and k >= 3 take a per-index loop in Python ints.
+    Object blocks past FD_CAP take a per-index loop of Python-int powers,
+    the exact reference.
     """
     # floor(2^bits (sqrt(p) + y)) = 2^bits (f + y) + floor(2^bits {sqrt(p)})
-    fy = 2 * fs + (ds > fs)
+    g = 2 * fs + (ds > fs)
     words = _frac_words(fs, ds)[0]
     bins = distance_bins(fs, ds, L)
+    j = np.stack([bins - 1, np.where(ds != 0, bins, 0)]).view(np.uint64)
     exact = _power_sums_part((k,), s, fs, ds)[0]
-    if k <= 2 and fs.dtype != object:
-        t = _weight_limbs(fy, words, bits)
-        upper_j = np.where(ds != 0, bins, 0)  # perfect squares (d = 0) are omitted
-        lower = _limb_power_sum(_carry([(bins - 1) * c for c in t]), _WEIGHT_LIMB, k)
-        upper_cols = [upper_j * c for c in t]
-        upper_cols[0] += upper_j
-        return lower, _limb_power_sum(_carry(upper_cols), _WEIGHT_LIMB, k), exact
-    lower = upper = 0
-    for d, j, g, m in zip(ds.tolist(), bins.tolist(), fy.tolist(), _mantissas(words, bits)):
-        if d:  # perfect squares (d = 0) are omitted
-            t = (g << bits) + m
-            lower += ((j - 1) * t) ** k
-            upper += (j * (t + 1)) ** k
-    return lower, upper, exact
-
-
-_WEIGHT_LIMB = 24  # limb width of the sandwich's weights; see _sandwich_part
-
-
-def _weight_limbs(g: np.ndarray, words: np.ndarray, bits: int) -> list[np.ndarray]:
-    """The n = ceil((bits + 72) / 24) 24-bit limbs of t = 2^bits g + (W >> (96 - bits)).
-
-    2^(96 - bits) t is 2^96 g + W with its low 96 - bits bits cleared, so
-    limb i of t is bits [96 - bits + 24 i, + 24) of the 32-bit words
-    (W's three, then g's two, g < 2^51); limbs past t's top are zero.
-    """
-    src = [c.astype(np.uint64) for c in (*words.T, g & 0xFFFFFFFF, g >> 32)]
+    if fs.dtype == object:
+        lower = upper = 0
+        for (w0, w1, w2), jl, ju, gg in zip(words.tolist(), *j.tolist(), g.tolist()):
+            t = (gg << bits) + (((w2 << 64) | (w1 << 32) | w0) >> (96 - bits))
+            lower += pow(jl * t, k)
+            upper += pow(ju * (t + 1), k)
+        return lower, upper, exact
+    g64 = g.view(np.uint64)
+    src = [*words.view(np.uint64).T, g64 & 0xFFFFFFFF, g64 >> 32, np.zeros_like(g64)]
     limbs = []
-    for i in range(-(-(bits + 72) // _WEIGHT_LIMB)):
-        q, r = divmod(96 - bits + _WEIGHT_LIMB * i, 32)
-        limb = np.zeros(len(g), np.uint64)
-        if q < len(src):
-            limb |= src[q] >> np.uint64(r)
-        if q + 1 < len(src):
-            limb |= src[q + 1] << np.uint64(32 - r)
-        limbs.append((limb & np.uint64((1 << _WEIGHT_LIMB) - 1)).astype(np.int64))
-    return limbs
+    for i in range(-(-(bits + 51) // 31)):
+        w, r = divmod(96 - bits + 31 * i, 32)
+        limbs.append((src[w] >> r | src[w + 1] << (32 - r)) & 0x7FFFFFFF)
 
+    def residue(q):
+        if q is None:
+            t = limbs[0] | limbs[1] << 31 | limbs[2] << 62
+        else:
+            t = limbs[0].copy()
+            for i, c in enumerate(limbs[1:], 1):
+                t += c * ((1 << 31 * i) % int(q))
+            _mod(t, q)
+        v = j * t
+        v[1] += j[1]
+        return _mod(v, q)
 
-def _carry(cols: list[np.ndarray]) -> list[np.ndarray]:
-    """cols renormalized into 24-bit limbs by one carry pass.
-
-    The caller bounds the value below 2^(24 len(cols)), so no carry is left.
-    """
-    out, carry = [], 0
-    for c in cols:
-        c = c + carry
-        out.append(c & ((1 << _WEIGHT_LIMB) - 1))
-        carry = c >> _WEIGHT_LIMB
-    return out
+    top = int(bins.max(initial=0)) * ((2 * int(fs.max(initial=0)) + 2) << bits)
+    (lower, upper), = _residue_power_sums((k,), residue, top)
+    return lower, upper, exact
 
 
 def fit_residual(xs, k: int, workers: int = 1, chunk: int = CHUNK) -> FitReport:

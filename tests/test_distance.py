@@ -92,6 +92,25 @@ class TestDistanceBins:
         elif 2 * s > L:  # delta = f + 1 - sqrt(p) crosses (L - s)/L downwards
             assert (below, above) == (L - s + 1, L - s)
 
+    # int64 pairs where the float L delta, at L = 2^21, lies 2u L from an
+    # integer on the wrong side of the edge, found among 3e5 near-edge
+    # candidates with f near 2^61: a tolerance of u L would keep their
+    # wrong float bin, 2^-50 L sends them to the fallback.  None of the
+    # candidates lands farther than 2u L, so no pair here pins 2^-52 L.
+    WRONG_SIDE = [(2522822159132528389, 4732555547980332494),
+                  (1272283337959504776, 2436780480121762003),
+                  (1193868511787658604, 2351484079312020282),
+                  (1290635234450135656, 2533935836778947854)]
+
+    def test_wrong_side_pairs_take_the_fallback(self):
+        L = 2**21
+        counter = CountingFallback()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(xs, "_exact_bin", counter)
+            got = xs.distance_bins(*as_arrays(self.WRONG_SIDE, np.int64), L)
+        assert got.tolist() == [xs._exact_bin(f, d, L) for f, d in self.WRONG_SIDE]
+        assert counter.seen == self.WRONG_SIDE
+
     def test_squares_take_the_fallback_into_bin_1(self):
         f = np.array([1, 5, 2**40, 2**61], np.int64)
         counter = CountingFallback()

@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -12,6 +16,8 @@ from hypothesis import strategies as st
 from cannonball import exactseq as xs
 from cannonball import moments as mo
 from conftest import oracle_term
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def oracle_moment(x, k):
@@ -60,7 +66,7 @@ def fd_terms(f, d):
 
 
 def python_power_sums(ks, f, d):
-    """Sums of a^k by Python-int powers, the reference of the int64 limb sums."""
+    """Sums of a^k by Python-int powers, the reference of the residue sums."""
     a = [min(x, 2 * y + 1 - x) for y, x in zip(f.tolist(), d.tolist())]
     return tuple(sum(pow(v, k) for v in a) for k in ks)
 
@@ -127,12 +133,11 @@ class TestMoment:
 
 
 class TestLimbPowerSums:
-    """The int64 limb sums (k <= 3) and residue sums (k >= 4) of _power_sums_part
-    against Python-int powers."""
+    """The residue sums of _power_sums_part at every k against Python-int powers."""
 
     def test_worst_case_full_sub_block(self):
-        # a = 2^50 - 1 on every index puts each limb column sum at its bound,
-        # and at k = 12 needs all 18 primes of the residue sums
+        # a = 2^50 - 1 on every index is the largest kernel-block bound,
+        # 2^12 (2^50)^12 at k = 12, which needs 18 of the 63 primes
         f = np.full(xs.SUB_BLOCK, 2**50 - 1, np.int64)
         ks = tuple(range(1, mo.K_MAX + 1))
         assert mo._power_sums_part(ks, 1, f, f) == python_power_sums(ks, f, f)
@@ -182,16 +187,26 @@ class TestResiduePowerSums:
         assert f.dtype == np.int64
         assert mo._power_sums_part(self.HIGH, s, f, d) == python_power_sums(self.HIGH, f, d)
 
-    def test_moduli_are_the_18_largest_primes_below_2_31(self):
+    def test_moduli_are_the_63_largest_primes_below_2_31(self):
         primes = mo._PRIMES
-        assert len(set(primes)) == len(primes) == 18
+        assert len(set(primes)) == len(primes) == 63
         assert all(is_prime(p) for p in primes)
         assert [n for n in range(primes[-1], 2**31) if is_prime(n)] == sorted(primes)
-        # they cover the worst case below FD_CAP: 2^12 a^12 with a < 2^50
-        m, coeffs = mo._CRT[len(primes)]
-        assert m == (1 << 64) * math.prod(primes) > 2**12 * (2**50) ** 12
+        # the sandwich's limb sum mod p assumes p > 2^31 - 2^11
+        assert min(primes) > 2**31 - 2**11
+        # they cover the worst case below FD_CAP, the sandwich's 2^12 v^12
+        # with v < 2^20 2^51 2^96, and 62 of them would not
+        m, coeffs = mo._crt(len(primes))
+        assert m == (1 << 64) * math.prod(primes) > 2**2016 > mo._crt(len(primes) - 1)[0]
         for i, q in enumerate((1 << 64, *primes)):
             assert [c % q for c in coeffs] == [int(i == j) for j in range(len(coeffs))]
+
+    def test_crt_tables_are_built_on_first_use(self):
+        code = ("import cannonball.moments as mo; a = mo._crt.cache_info().currsize; "
+                "mo.power_sums(100, (1, 12)); print(a, mo._crt.cache_info().currsize > 0)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert proc.stdout.split() == ["0", "True"]
 
     def test_no_python_pow_on_kernel_blocks(self, monkeypatch):
         calls = []
@@ -200,9 +215,11 @@ class TestResiduePowerSums:
             calls.append(args)
             return pow(*args)
 
-        monkeypatch.setattr(mo, "pow", counting_pow, raising=False)
         f, d = xs.block_fd(3_000_000, 3_000_000 + xs.SUB_BLOCK - 1)
         want = python_power_sums(self.HIGH, f, d)
+        # the CRT coefficients are built on first use, by pow(x, -1, q) per modulus
+        assert mo._power_sums_part(self.HIGH, 3_000_000, f, d) == want
+        monkeypatch.setattr(mo, "pow", counting_pow, raising=False)
         assert mo._power_sums_part(self.HIGH, 3_000_000, f, d) == want
         assert calls == []
         # the patch does reach the module: object blocks still take Python powers
@@ -319,7 +336,7 @@ class TestSandwich:
             assert mo._sandwich_part(3, 100, bits, 2000, f.astype(object), d.astype(object)) == want
 
     @pytest.mark.parametrize("bits", [32, 64, 96])
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3, 12])
     def test_limb_path_at_the_largest_bin(self, k, bits):
         # n = 1732704 is the first index in bin L/2 = MAX_BINS = 2^20 at L = 2^21
         L, lo = 2 * xs.MAX_BINS, 1732704 - 1000
@@ -328,7 +345,7 @@ class TestSandwich:
         assert part_bounds(k, L, bits, f, d) == per_bin_sandwich(lo + len(f) - 1, k, L, bits, lo)
 
     @pytest.mark.parametrize("bits", [32, 64, 96])
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3, 12])
     def test_limb_path_constructed_extremes(self, k, bits):
         # d = 2f with f >= 2^31 puts {sqrt(p)} above 1 - 2^-32, so at 32 bits
         # t + 1 carries into f + y, up to t + 1 = 2^83 at f = 2^50 - 1; d = f
@@ -341,6 +358,23 @@ class TestSandwich:
         if bits == 32:
             assert xs.frac_mantissa(2**50 - 1, 2**51 - 2, bits) == (1 << bits) - 1
         assert part_bounds(k, L, bits, f, d) == per_bin_bounds(fd_terms(f, d), k, L, bits)
+
+    def test_no_python_pow_on_kernel_blocks(self, monkeypatch):
+        calls = []
+
+        def counting_pow(*args):
+            calls.append(args)
+            return pow(*args)
+
+        f, d = xs.block_fd(2000, 2000 + xs.SUB_BLOCK - 1)
+        want = mo._sandwich_part(3, 100, 64, 2000, f, d)  # builds the CRT coefficients
+        monkeypatch.setattr(mo, "pow", counting_pow, raising=False)
+        assert mo._sandwich_part(3, 100, 64, 2000, f, d) == want
+        assert calls == []
+        # object blocks take two Python powers per index, and M_k one more
+        f, d = f[:3].astype(object), d[:3].astype(object)
+        mo._sandwich_part(3, 100, 64, 2000, f, d)
+        assert len(calls) == 9
 
     def test_memory_does_not_grow_with_L(self):
         tracemalloc.start()

@@ -51,9 +51,10 @@ CASES += [
     ("sandwich", "--x", "20000", "--k", "3", "--L", "2097152"),
     ("histogram", "--x", "100000", "--bins", "1048576"),
 ]
-# the int64 limb (k <= 3) and residue (k >= 4) power sums across n = 3810778,
-# where P_n passes 2^64
+# the residue power sums across n = 3810778, where P_n passes 2^64: of the
+# moments, and of the sandwich numerators
 CASES += [("moments", "--x", "4000000", "--k", k) for k in ("2", "3", "4", "12")]
+CASES += [("sandwich", "--x", "4000000", "--k", k, "--L", "100") for k in ("3", "12")]
 # discrepancy, weyl and knbound: the fixed-point points at several precisions,
 # with and without the Erdos-Turan bound, and anchors past |m| = 32767
 CASES += [("discrepancy", "--x", str(x), *k, "--bits", bits)
