@@ -9,7 +9,11 @@ are formatted at a declared precision.  A moments scan checkpoints at chunk
 boundaries; resuming a killed run produces byte-identical output to an
 uninterrupted one.  A checkpoint refuses to resume under a configuration
 whose semantic fingerprint differs (worker count, chunk size and checkpoint
-cadence are deliberately not part of the fingerprint).
+cadence are deliberately not part of the fingerprint).  _write_checkpoint
+and _read_checkpoint are the one writer and the one reader of checkpoints:
+the writer hands emit one line of JSON, so a checkpoint is written like
+any output file (below), and the reader makes every check of a saved
+state before any of it is used.
 
 emit is the one writer.  terms formats each kernel sub-block of rows
 straight from (f, d) into one string, exactseq.spans hands on each span's
@@ -183,23 +187,31 @@ def emit(rows, out_format: str, destination=None):
 
 
 def _write_checkpoint(path: str, fingerprint: str, last_n: int, accumulators):
+    """Save the state of a scan after index last_n: its (name, int) accumulators.
+
+    The document is one line of JSON, written by emit like any output: to
+    path + ".tmp", renamed over path when complete, the .tmp file removed
+    on error, so a failed write leaves the previous checkpoint as it was.
+    """
     doc = {
         "schema_version": SCHEMA_VERSION,
         "fingerprint": fingerprint,
         "last_n": last_n,
         "accumulators": [[name, str(value)] for name, value in accumulators],
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh)
-    os.replace(tmp, path)
+    emit((json.dumps(doc),), "json", path)
 
 
-def _read_checkpoint(path: str) -> dict:
-    """The checkpoint at path, in the shape _write_checkpoint gives it.
+def _read_checkpoint(path: str, fingerprint: str, x: int, names: list) -> tuple[int, list]:
+    """(last_n, values) of the checkpoint at path, a saved state of this run.
 
-    Another schema version is a CheckpointMismatch; unparsable JSON or any
-    other shape is a ValueError that names the file.
+    The checks run in this order: the schema version and the shape
+    _write_checkpoint gives (another version is a CheckpointMismatch,
+    unparsable JSON or another shape a ValueError that names the file);
+    the fingerprint (another one is a CheckpointMismatch: another
+    configuration wrote it); last_n in [0, x) and accumulators named
+    `names` (else a ValueError: it holds no partial sum of this run).
+    values are the accumulators as ints.
     """
     with open(path) as fh:
         try:
@@ -218,7 +230,14 @@ def _read_checkpoint(path: str) -> dict:
                     and isinstance(p[1], str) and p[1].isdecimal() for p in pairs)):
         raise ValueError(f"checkpoint {path} needs a string fingerprint, an integer last_n "
                          "and accumulators as [name, decimal string] pairs")
-    return doc
+    if doc["fingerprint"] != fingerprint:
+        raise CheckpointMismatch(
+            "checkpoint was written by a different configuration; refusing to resume")
+    last_n, saved = doc["last_n"], [name for name, _ in pairs]
+    if not 0 <= last_n < x or saved != names:
+        raise ValueError(f"checkpoint {path} holds no state of this run before x={x}: "
+                         f"last_n={last_n}, accumulators {saved}")
+    return last_n, [int(v) for _, v in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -367,27 +386,19 @@ def _vector_rows(s: int, f: np.ndarray, d: np.ndarray, is_csv: bool) -> str:
 
 
 def _cmd_moments(cfg: RunConfig):
-    fingerprint = cfg.fingerprint()
+    fingerprint, names = cfg.fingerprint(), [f"m{cfg.k}"]
     start_n, init = 1, None
     ckpt = cfg.checkpoint_path
     if ckpt and os.path.exists(ckpt):
-        doc = _read_checkpoint(ckpt)
-        if doc["fingerprint"] != fingerprint:
-            raise CheckpointMismatch(
-                "checkpoint was written by a different configuration; refusing to resume")
-        names = [name for name, _ in doc["accumulators"]]
-        if not 0 <= doc["last_n"] < cfg.x or names != [f"m{cfg.k}"]:
-            raise ValueError(f"checkpoint {ckpt} holds no state of this run before x={cfg.x}: "
-                             f"last_n={doc['last_n']}, accumulators {names}")
-        start_n = doc["last_n"] + 1
-        init = [int(v) for _, v in doc["accumulators"]]
+        last_n, init = _read_checkpoint(ckpt, fingerprint, cfg.x, names)
+        start_n = last_n + 1
     progress = None
     if ckpt:
         state = {"written": start_n - 1}
 
         def progress(last_n, sums):
             if last_n - state["written"] >= cfg.checkpoint_every and last_n < cfg.x:
-                _write_checkpoint(ckpt, fingerprint, last_n, [(f"m{cfg.k}", sums[0])])
+                _write_checkpoint(ckpt, fingerprint, last_n, zip(names, sums))
                 state["written"] = last_n
 
     table = moments.power_sums_at([cfg.x], (cfg.k,), workers=cfg.workers, chunk=cfg.chunk,

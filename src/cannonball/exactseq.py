@@ -289,17 +289,18 @@ def ordered_map(fn, items, workers: int = 1) -> Iterator:
 
     items may be a generator: it is read lazily, so memory does not grow
     with the item count.  The pool is capped at the item count (of the
-    first `workers` items peeked) and the CPU count; with one item it runs
-    in-process.  At most POOL_WINDOW tasks per process are outstanding, so
-    a slow consumer holds back the items drawn instead of letting finished
-    results pile up.  Results do not depend on the pool's size.
+    first `workers` items peeked) and the CPU count; capped at one process
+    (one item, or one CPU) it runs in-process and starts no pool.  At most
+    POOL_WINDOW tasks per process are outstanding, so a slow consumer holds
+    back the items drawn instead of letting finished results pile up.
+    Results do not depend on the pool's size.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     items = iter(items)
     head = list(islice(items, workers))
-    if len(head) > 1:
-        processes = min(len(head), os.cpu_count() or 1)
+    processes = min(len(head), os.cpu_count() or 1)
+    if processes > 1:
         with get_context().Pool(processes) as pool:
             pending = deque()
             for item in chain(head, items):

@@ -119,9 +119,9 @@ _PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 214748354
 def _crt(t: int) -> tuple[int, tuple[int, ...]]:
     """M = 2^64 p_1 ... p_t and the CRT coefficients of its moduli m_i (2^64,
     then p_1..p_t): c_i = (M/m_i) ((M/m_i)^-1 mod m_i), so c_i = 1 mod m_i and
-    c_i = 0 mod every other modulus.  Built on first use, not at import."""
-    if t > len(_PRIMES):
-        raise ValueError(f"bound past 2^64 times all {len(_PRIMES)} primes")
+    c_i = 0 mod every other modulus, for t <= len(_PRIMES).  Built on first
+    use, not at import, and only for the counts t a power sum reads:
+    _residue_power_sums finds t from a running product of the moduli."""
     moduli = (1 << 64, *_PRIMES[:t])
     m = math.prod(moduli)
     return m, tuple(m // q * pow(m // q, -1, q) for q in moduli)
@@ -168,13 +168,16 @@ def _residue_power_sums(ks, residue, top: int) -> list[list[int]]:
     The moduli are pairwise coprime, so with _crt's coefficients sum r_i c_i
     is S modulo each m_i, hence modulo M, and 0 <= S <= B < M makes S =
     sum r_i c_i mod M.  With B < 2^64 (t = 0) S is its uint64 sum itself.
-    All 63 primes cover B up to 2^2016.
+    All 63 primes cover B up to 2^2016; a larger B is a ValueError.
     """
     u = residue(None)
     ts = []
     for k in ks:
-        t, bound = 0, u.shape[1] * top ** k
-        while _crt(t)[0] <= bound:
+        t, m, bound = 0, 1 << 64, u.shape[1] * top ** k
+        while m <= bound:
+            if t == len(_PRIMES):
+                raise ValueError(f"bound past 2^64 times all {len(_PRIMES)} primes")
+            m *= _PRIMES[t]
             t += 1
         ts.append(t)
     sums = [[_pow_mod(u, k, None).sum(axis=1, dtype=np.uint64).tolist()] for k in ks]
@@ -335,22 +338,22 @@ def _sandwich_part(k: int, L: int, bits: int, s: int, fs: np.ndarray,
       primes of _PRIMES cover.
 
     Object blocks past FD_CAP take a per-index loop of Python-int powers,
-    the exact reference.
+    the exact reference, with t = isqrt(p << 2 bits) + (y << bits), the
+    same integer from one isqrt; only kernel blocks call _frac_words.
     """
-    # floor(2^bits (sqrt(p) + y)) = 2^bits (f + y) + floor(2^bits {sqrt(p)})
-    g = 2 * fs + (ds > fs)
-    words = _frac_words(fs, ds)[0]
     bins = distance_bins(fs, ds, L)
     j = np.stack([bins - 1, np.where(ds != 0, bins, 0)]).view(np.uint64)
     exact = _power_sums_part((k,), s, fs, ds)[0]
     if fs.dtype == object:
         lower = upper = 0
-        for (w0, w1, w2), jl, ju, gg in zip(words.tolist(), *j.tolist(), g.tolist()):
-            t = (gg << bits) + (((w2 << 64) | (w1 << 32) | w0) >> (96 - bits))
+        for f, d, jl, ju in zip(fs.tolist(), ds.tolist(), *j.tolist()):
+            t = math.isqrt((f * f + d) << 2 * bits) + ((f + (d > f)) << bits)
             lower += pow(jl * t, k)
             upper += pow(ju * (t + 1), k)
         return lower, upper, exact
-    g64 = g.view(np.uint64)
+    # floor(2^bits (sqrt(p) + y)) = 2^bits (f + y) + floor(2^bits {sqrt(p)})
+    g64 = (2 * fs + (ds > fs)).view(np.uint64)
+    words = _frac_words(fs, ds)[0]
     src = [*words.view(np.uint64).T, g64 & 0xFFFFFFFF, g64 >> 32, np.zeros_like(g64)]
     limbs = []
     for i in range(-(-(bits + 51) // 31)):

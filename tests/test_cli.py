@@ -386,6 +386,28 @@ class TestCheckpointing:
         # the hex of existing checkpoints: a change here orphans every one of them
         assert config.fingerprint() == hexdigest
 
+    def test_failed_checkpoint_write_keeps_the_last_one(self, tmp_path, monkeypatch):
+        """A checkpoint is written like an output: when a later write fails, the
+        run exits 2, no .tmp file is left, and the checkpoint on disk keeps
+        the bytes of the last one written whole."""
+        ck, out = tmp_path / "ck.json", tmp_path / "out.csv"
+        replace, saved = os.replace, []
+
+        def fail_second_checkpoint(src, dst):
+            if dst == str(ck) and saved:
+                raise OSError("no space left")
+            replace(src, dst)
+            if dst == str(ck):
+                saved.append(ck.read_bytes())
+
+        monkeypatch.setattr(cli.os, "replace", fail_second_checkpoint)
+        assert cli.main(["moments", "--x", "100000", "--k", "1", "--chunk", "4096",
+                         "--checkpoint", str(ck), "--checkpoint-every", "20000",
+                         "--output", str(out)]) == 2
+        assert len(saved) == 1 and ck.read_bytes() == saved[0]
+        assert not (tmp_path / "ck.json.tmp").exists()
+        assert not out.exists()
+
     def test_checkpoints_written_during_run(self, tmp_path):
         ck = tmp_path / "ck.json"
         assert cli.main(["moments", "--x", "100000", "--k", "1",

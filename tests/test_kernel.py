@@ -309,6 +309,16 @@ class TestOrderedMap:
             time.sleep(0.002)
         assert max(ahead) < 2 * xs.POOL_WINDOW
 
+    @pytest.mark.parametrize("cpus", [1, None])
+    def test_one_cpu_runs_in_process(self, monkeypatch, cpus):
+        class NoPool:
+            def Pool(self, processes):
+                raise AssertionError(f"a pool of {processes} was started")
+
+        monkeypatch.setattr(xs, "get_context", NoPool)
+        monkeypatch.setattr(xs.os, "cpu_count", lambda: cpus)
+        assert list(xs.ordered_map(abs, [-i for i in range(10)], 4)) == list(range(10))
+
     def test_single_item_runs_in_process(self, monkeypatch):
         monkeypatch.setattr(xs, "get_context", None)  # any pool would fail
         assert list(xs.ordered_map(abs, iter([-3]), 2)) == [3]

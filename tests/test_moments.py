@@ -71,6 +71,15 @@ def python_power_sums(ks, f, d):
     return tuple(sum(pow(v, k) for v in a) for k in ks)
 
 
+def constructed_extremes(seed):
+    """An int64 (f, d) block of SUB_BLOCK pairs at the kernel's edges, f in
+    [2^31, 2^50) and d in {2f, f, f + 1, 0, f // 3} in turn."""
+    f = np.random.default_rng(seed).integers(2**31, 2**50, xs.SUB_BLOCK)
+    f[:8] = 2**50 - 1
+    d = np.stack([2 * f, f, f + 1, f * 0, f // 3])[np.arange(len(f)) % 5, np.arange(len(f))]
+    return f, d
+
+
 @st.composite
 def kernel_blocks(draw):
     """int64 (f, d) blocks with f < 2^50, so a = min(d, 2f + 1 - d) lies in [0, 2^50)."""
@@ -208,6 +217,21 @@ class TestResiduePowerSums:
                               check=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
         assert proc.stdout.split() == ["0", "True"]
 
+    def test_search_builds_only_the_tables_it_reads(self):
+        # the sandwich at k = 12 reads two CRT tables, M_k's and the numerators'
+        code = ("import cannonball.exactseq as xs, cannonball.moments as mo; s = 1500000; "
+                "f, d = xs.block_fd(s, s + xs.SUB_BLOCK - 1); "
+                "mo._sandwich_part(12, 2**21, 96, s, f, d); print(mo._crt.cache_info().currsize)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert proc.stdout.split() == ["2"]
+
+    def test_bound_past_the_last_prime_rejected(self):
+        top = 1 << 2016
+        assert 4 * top > mo._crt(len(mo._PRIMES))[0]
+        with pytest.raises(ValueError, match="all 63 primes"):
+            mo._residue_power_sums((1,), lambda q: np.zeros((1, 4), np.uint64), top)
+
     def test_no_python_pow_on_kernel_blocks(self, monkeypatch):
         calls = []
 
@@ -329,11 +353,32 @@ class TestSandwich:
             mo.sandwich(100, 1, 10, bits)
 
     def test_object_blocks_match_kernel_blocks(self):
-        # past FD_CAP sub-blocks are object arrays of Python ints
+        # past FD_CAP sub-blocks are object arrays of Python ints, whose weights
+        # come from one isqrt each, the kernel's from the 96-bit words
+        for bits in (32, 48, 64, 96):
+            for k in (1, 2, 3, 12):
+                for s, f, d in [(2000, *xs.block_fd(2000, 2300)),
+                                (1, *constructed_extremes(k * 100 + bits))]:
+                    fo, do = f.astype(object), d.astype(object)
+                    for L in (2, 100, 2 * xs.MAX_BINS):
+                        assert mo._sandwich_part(k, L, bits, s, fo, do) == mo._sandwich_part(
+                            k, L, bits, s, f, d)
+
+    def test_object_blocks_read_no_words(self, monkeypatch):
+        calls = []
+        words = mo._frac_words
+
+        def counting_words(f, d):
+            calls.append(len(f))
+            return words(f, d)
+
+        monkeypatch.setattr(mo, "_frac_words", counting_words)
         f, d = xs.block_fd(2000, 2300)
-        for bits in (32, 64, 96):
-            want = mo._sandwich_part(3, 100, bits, 2000, f, d)
-            assert mo._sandwich_part(3, 100, bits, 2000, f.astype(object), d.astype(object)) == want
+        mo._sandwich_part(3, 100, 64, 2000, f.astype(object), d.astype(object))
+        assert calls == []
+        # the patch does reach the module: kernel blocks read the words
+        mo._sandwich_part(3, 100, 64, 2000, f, d)
+        assert calls == [301]
 
     @pytest.mark.parametrize("bits", [32, 64, 96])
     @pytest.mark.parametrize("k", [1, 2, 3, 12])
@@ -351,9 +396,7 @@ class TestSandwich:
         # t + 1 carries into f + y, up to t + 1 = 2^83 at f = 2^50 - 1; d = f
         # with f >= 2^19 puts delta within 2^-21 of 1/2, in bin L/2 = 2^20
         L = 2 * xs.MAX_BINS
-        f = np.random.default_rng(k * 100 + bits).integers(2**31, 2**50, xs.SUB_BLOCK)
-        f[:8] = 2**50 - 1
-        d = np.stack([2 * f, f, f + 1, f * 0, f // 3])[np.arange(len(f)) % 5, np.arange(len(f))]
+        f, d = constructed_extremes(k * 100 + bits)
         assert xs.distance_bins(f, d, L).max() == xs.MAX_BINS
         if bits == 32:
             assert xs.frac_mantissa(2**50 - 1, 2**51 - 2, bits) == (1 << bits) - 1

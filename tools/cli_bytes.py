@@ -110,6 +110,9 @@ CASES += [
 # x = 1 and 2, where the prefilter's margin c is at least 1/2 and every index survives
 CASES += [("nearhalf", "--x", "47109", "--bits", "32"), ("nearhalf", "--x", "1"),
           ("nearhalf", "--x", "2")]
+# the benchmark's two pool shapes, at the default chunk
+CASES += [("moments", "--x", "2000000", "--k", "1", "--workers", "2"),
+          ("terms", "--range", "751:150750", "--workers", "2")]
 
 # bad input: one case per form of error message, each exit 2 with no output
 CASES += [
