@@ -18,14 +18,15 @@ state before any of it is used.
 emit is the one writer.  terms formats each kernel sub-block of rows
 straight from (f, d) into one string, exactseq.spans hands on each span's
 strings, and emit writes each string as it arrives, so memory grows with
---chunk but not with the range.  An int64 kernel sub-block is formatted
-whole in numpy: each integer becomes base-10^4 digit groups, one 4-byte
-word each from a 20001-word table whose second half writes leading zeros
-as NUL, the literal pieces become NUL-padded words, and the text is the
-bytes of one rows-by-words uint32 array with its NULs deleted; p = f^2 +
-d, past int64 from n = 3024617, is built as two base-10^16 limbs.  Object
-sub-blocks past FD_CAP keep one f-string per row, the exact reference of
-the vector path (see _terms_text).
+--chunk but not with the range.  Every JSON row leads with its ",\n"
+separator, dropped before the first row.  An int64 kernel sub-block is
+formatted whole in numpy: each integer becomes base-10^4 digit groups,
+one 4-byte word each from a 20001-word table whose second half writes
+leading zeros as NUL, the literal pieces become NUL-padded words, and the
+text is the bytes of one rows-by-words uint32 array with its NULs
+deleted; p = f^2 + d, past int64 from n = 3024617, is built as two
+base-10^16 limbs.  Object sub-blocks past FD_CAP keep one f-string per
+row, the exact reference of the vector path (see _terms_text).
 
 The other commands' few dict rows (never none) are rendered into one
 chunk, whose CSV header is the first row's keys.  A file is written to
@@ -95,7 +96,7 @@ class RunConfig:
     checkpoint_every: int = 1 << 20
 
     def __post_init__(self):
-        """Range-check each flag the library cannot name, before any work.
+        """Range-check each flag the library cannot name, and --out, before any work.
 
         Every other bound (bits, bins, L, k, K >= 1) is the library's own
         check, with the library's message."""
@@ -109,6 +110,8 @@ class RunConfig:
                 flag = "--" + name.replace("_", "-")
                 bound = f">= {low}" if value < low else f"<= {high}"
                 raise ValueError(f"{flag} must be {bound}, got {value}")
+        if self.out_format not in ("csv", "json"):
+            raise ValueError(f"--out must be csv or json, got {self.out_format!r}")
 
     def fingerprint(self) -> str:
         """Hash of the semantic configuration only.
@@ -252,16 +255,15 @@ def _cmd_terms(cfg: RunConfig):
 
 def _terms_chunks(is_csv: bool, spans):
     """The terms output as text chunks: each span's sub-block strings, in order,
-    inside a CSV header or a JSON array.  One string is held back, so nothing
-    is written before the first span is folded, and the last JSON row is
-    written without the ",\n" every JSON row ends in."""
+    inside a CSV header or a JSON array.  The header goes out joined to the
+    first string, so nothing is written before the first span is folded; in
+    JSON that string loses the ",\n" every row leads with."""
     texts = (text for _, (parts,) in spans for text in parts)
-    held = next(texts)
-    yield "n,p,f,y,a,side\r\n" if is_csv else "[\n"
-    for text in texts:
-        yield held
-        held = text
-    yield held if is_csv else held[:-2] + "\n]\n"
+    first = next(texts)
+    yield "n,p,f,y,a,side\r\n" + first if is_csv else "[\n" + first[2:]
+    yield from texts
+    if not is_csv:
+        yield "\n]\n"
 
 
 def _terms_text(is_csv: bool, s: int, f, d) -> tuple[list[str]]:
@@ -273,8 +275,8 @@ def _terms_text(is_csv: bool, s: int, f, d) -> tuple[list[str]]:
     a = 2f + 1 - d.  A CSV row is what csv.DictWriter writes for it: no
     field needs quoting, and the line ends in CRLF.  JSON rows are the
     array elements json.dump(rows, indent=2) writes, "n" a bare int and the
-    other fields strings, each followed by a comma and a newline, which
-    _terms_chunks drops after the last row.  Module-level, so a pool can
+    other fields strings, each led by a comma and a newline, which
+    _terms_chunks drops before the first row.  Module-level, so a pool can
     pickle it.
 
     Each int64 kernel sub-block is formatted whole in numpy by _vector_rows:
@@ -296,8 +298,8 @@ def _object_rows(s: int, fs, ds, is_csv: bool) -> str:
         if is_csv:
             rows.append(f"{n},{f * f + d},{f},{y},{a},{side}\r\n")
         else:
-            rows.append(f'  {{\n    "n": {n},\n    "p": "{f * f + d}",\n    "f": "{f}",\n'
-                        f'    "y": "{y}",\n    "a": "{a}",\n    "side": "{side}"\n  }},\n')
+            rows.append(f',\n  {{\n    "n": {n},\n    "p": "{f * f + d}",\n    "f": "{f}",\n'
+                        f'    "y": "{y}",\n    "a": "{a}",\n    "side": "{side}"\n  }}')
     return "".join(rows)
 
 
@@ -329,9 +331,9 @@ _THRESHOLDS = 10 ** np.array([4, 8, 12])
 # f, y, a, and after a (below, above the half)
 _CSV_WORDS = ([_words(t) for t in ("", ",", "", ",", ",", ",")],
               [_words(f",{side.value}\r\n") for side in exactseq.Side])
-_JSON_WORDS = ([_words(t) for t in ('  {\n    "n": ', ',\n    "p": "', "", '",\n    "f": "',
+_JSON_WORDS = ([_words(t) for t in (',\n  {\n    "n": ', ',\n    "p": "', "", '",\n    "f": "',
                                     '",\n    "y": "', '",\n    "a": "')],
-               [_words(f'",\n    "side": "{side.value}"\n  }},\n') for side in exactseq.Side])
+               [_words(f'",\n    "side": "{side.value}"\n  }}') for side in exactseq.Side])
 
 
 def _vector_rows(s: int, f: np.ndarray, d: np.ndarray, is_csv: bool) -> str:

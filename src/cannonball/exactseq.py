@@ -326,13 +326,13 @@ def spans(fn, hi: int, workers: int = 1, chunk: int = CHUNK, start_n: int = 1) -
 
     [start_n, hi] is cut lazily into spans of at most `chunk` indices, so
     no list of spans is built, and ordered_map folds each span in a pool
-    of up to `workers` processes.  This is the one span walk: scan folds
-    its parts into a total, and the terms command writes its parts, each a
-    list of text, as they arrive.  The range is checked here, before the
-    first span is folded.
+    of up to `workers` processes; each part comes back with the span it
+    folded (_fold_span), so the spans are cut once.  This is the one span
+    walk: scan folds its parts into a total, and the terms command writes
+    its parts, each a list of text, as they arrive.  The range is checked
+    here, before the first span is folded.
     """
-    spec = RangeSpec(start_n, hi, chunk)
-    return zip(spec.chunks(), ordered_map(partial(_fold_span, fn), spec.chunks(), workers))
+    return ordered_map(partial(_fold_span, fn), RangeSpec(start_n, hi, chunk).chunks(), workers)
 
 
 def scan(fn, hi: int, workers: int = 1, chunk: int = CHUNK, start_n: int = 1,
@@ -360,12 +360,13 @@ def scan(fn, hi: int, workers: int = 1, chunk: int = CHUNK, start_n: int = 1,
 
 
 def _fold_span(fn, span: tuple[int, int]) -> tuple:
-    """fn folded over the sub-blocks of one (lo, hi) span; the total is this call's own."""
+    """(span, total): fn folded over the sub-blocks of one (lo, hi) span, with
+    the span it folded; the total is this call's own."""
     blocks = fd_blocks(*span)
     total = fn(*next(blocks))
     for block in blocks:
         total = tuple(map(operator.iadd, total, fn(*block)))
-    return total
+    return span, total
 
 
 def check_bits(bits: int) -> None:

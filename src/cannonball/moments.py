@@ -262,7 +262,6 @@ def moment(x: int, k: int, workers: int = 1, chunk: int = CHUNK) -> MomentSummar
     """Exact M_k(x) with its main term and residual diagnostics."""
     if x < 1:
         raise ValueError("x must be >= 1")
-    _check_k(k)
     exact = power_sums(x, (k,), workers=workers, chunk=chunk)[0]
     return summary_from_exact(x, k, exact)
 

@@ -128,6 +128,20 @@ class TestTermsStream:
         assert cli.main(["terms", "--range", "20:30", "--out", "json", "--chunk", "4"]) == 0
         assert capsysbinary.readouterr().out == terms_reference(20, 30, "json")
 
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_stream_chunks_are_the_sub_blocks(self, out_format):
+        """One chunk per sub-block, the header joined to the first; JSON then closes alone."""
+        cfg = cli.RunConfig("terms", lo=1, hi=3 * xs.SUB_BLOCK, out_format=out_format)
+        chunks = list(cli._cmd_terms(cfg))
+        if out_format == "csv":
+            assert len(chunks) == 3 and chunks[0].startswith("n,p,f,y,a,side\r\n")
+            rows = [c.count("\r\n") for c in chunks]
+            assert rows == [xs.SUB_BLOCK + 1, xs.SUB_BLOCK, xs.SUB_BLOCK]
+        else:
+            assert len(chunks) == 4 and chunks[0].startswith("[\n  {")
+            assert [c.count('"n": ') for c in chunks[:3]] == [xs.SUB_BLOCK] * 3
+            assert chunks[3] == "\n]\n"
+
     def test_memory_flat_in_the_range(self, tmp_path):
         # one span of text at a time, never the whole file: 1:50000 is a
         # 2.5 MB file, a 1024-row span about 50 kB of text
@@ -489,6 +503,14 @@ class TestFlagRanges:
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("cfg", [dict(command="terms", lo=1, hi=2),
+                                     dict(command="moments", x=10**8, k=1)],
+                             ids=["terms", "moments"])
+    def test_unknown_out_format_refused_before_any_work(self, cfg):
+        # from the library the CLI's --out choices are not enforced by argparse
+        with pytest.raises(ValueError, match="^--out must be csv or json, got 'xml'$"):
+            cli.RunConfig(**cfg, out_format="xml")
 
     @pytest.mark.parametrize("call, message", [
         (lambda: mo.moment(0, 1), "x must be >= 1"),

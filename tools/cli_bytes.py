@@ -92,12 +92,17 @@ CASES += [
     ("terms", "--range", "3020000:3030000"),
     ("terms", "--range", "3020000:3030000", "--out", "json"),
 ]
-# terms' JSON framing: one row, a last span of one row, every span one row
+# terms' JSON framing: one row, a last span of one row, every span one row,
+# exactly one sub-block, and object rows past FD_CAP first
 CASES += [
     ("terms", "--range", "24:24"),
     ("terms", "--range", "24:24", "--out", "json"),
     ("terms", "--range", "1:4097", "--out", "json", "--workers", "2", "--chunk", "4096"),
     ("terms", "--range", "1:9", "--out", "json", "--workers", "2", "--chunk", "1"),
+    ("terms", "--range", "1:1", "--out", "json"),
+    ("terms", "--range", "1:4096", "--out", "json"),
+    ("terms", "--range", "4096:4097", "--out", "json", "--chunk", "1"),
+    ("terms", "--range", "10000000000:10000000001", "--out", "json"),
 ]
 # terms where block_fd's +-1 step fires on most sub-blocks: near n = 1e9, and
 # the last indices below FD_CAP = 1e10
