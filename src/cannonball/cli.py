@@ -15,21 +15,24 @@ the writer hands emit one line of JSON, so a checkpoint is written like
 any output file (below), and the reader makes every check of a saved
 state before any of it is used.
 
-emit is the one writer.  terms formats each kernel sub-block of rows
-straight from (f, d) into one string, exactseq.spans hands on each span's
-strings, and emit writes each string as it arrives, so memory grows with
---chunk but not with the range.  Every JSON row leads with its ",\n"
-separator, dropped before the first row.  An int64 kernel sub-block is
-formatted whole in numpy: each integer becomes base-10^4 digit groups,
-one 4-byte word each from a 20001-word table whose second half writes
-leading zeros as NUL, the literal pieces become NUL-padded words, and the
-text is the bytes of one rows-by-words uint32 array with its NULs
-deleted; p = f^2 + d, past int64 from n = 3024617, is built as two
-base-10^16 limbs.  Object sub-blocks past FD_CAP keep one f-string per
-row, the exact reference of the vector path (see _terms_text).
+emit is the one writer, and _framed its one framing: a CSV header, or a
+JSON array whose every row leads with its ",\n" separator, dropped before
+the first row.  terms formats each kernel sub-block of rows straight from
+(f, d) into one string, exactseq.spans hands on each span's strings, and
+emit writes each string as it arrives, so memory grows with --chunk but
+not with the range.  An int64 kernel sub-block is formatted whole in
+numpy: each integer becomes base-10^4 digit groups, one 4-byte word each
+from a 20001-word table whose second half writes leading zeros as NUL,
+the literal pieces become NUL-padded words, and the text is the bytes of
+one rows-by-words uint32 array with its NULs deleted; p = f^2 + d, past
+int64 from n = 3024617, is built as two base-10^16 limbs.
 
-The other commands' few dict rows (never none) are rendered into one
-chunk, whose CSV header is the first row's keys.  A file is written to
+Every other row is a dict rendered by the standard library, in
+_rows_text: csv.writer in the excel dialect, or json.JSONEncoder with
+indent=2.  That covers the object sub-blocks of terms past FD_CAP, the
+exact reference of the vector path (see _terms_text), and the dict rows
+the other commands return, which emit renders SUB_BLOCK rows at a time
+with the first row's keys as the CSV header.  A file is written to
 FILE.tmp and renamed over FILE only when complete: on any error the .tmp
 file is removed and an existing FILE keeps its bytes.  A reader that
 closes stdout early (`| head`) ends the run quietly, with status 0.
@@ -47,7 +50,6 @@ import argparse
 import csv
 import functools
 import hashlib
-import io
 import json
 import math
 import os
@@ -90,16 +92,23 @@ class RunConfig:
     preset: Optional[str] = None
     workers: int = 1
     chunk: int = exactseq.CHUNK
-    out_format: str = "csv"
+    out_format: Optional[str] = None  # None: csv, or json for optimize, which writes JSON only
     output: Optional[str] = None
     checkpoint_path: Optional[str] = None
     checkpoint_every: int = 1 << 20
 
     def __post_init__(self):
-        """Range-check each flag the library cannot name, and --out, before any work.
+        """Refuse a field the command reads left at None, range-check each flag
+        the library cannot name, and check --out, before any work.
 
-        Every other bound (bits, bins, L, k, K >= 1) is the library's own
-        check, with the library's message."""
+        Each message names the flag.  An unset out_format becomes csv, or
+        json for optimize, the one format it writes.  Every other bound
+        (bits, bins, L, k, K >= 1) is the library's own check, with the
+        library's message."""
+        for name in _HANDLERS.get(self.command, (None, ()))[1]:
+            if getattr(self, name) is None:
+                flag = "--range" if name in ("lo", "hi") else "--" + name.replace("_", "-")
+                raise ValueError(f"{self.command} needs {flag}")
         cap, inf = equidist.MAX_HARMONIC, math.inf
         ranges = (("workers", 1, inf), ("chunk", 1, inf), ("checkpoint_every", 1, inf),
                   ("K", -inf, cap), ("m_max", 1, cap),
@@ -110,8 +119,11 @@ class RunConfig:
                 flag = "--" + name.replace("_", "-")
                 bound = f">= {low}" if value < low else f"<= {high}"
                 raise ValueError(f"{flag} must be {bound}, got {value}")
-        if self.out_format not in ("csv", "json"):
-            raise ValueError(f"--out must be csv or json, got {self.out_format!r}")
+        formats = ("json",) if self.command == "optimize" else ("csv", "json")
+        if self.out_format is None:
+            object.__setattr__(self, "out_format", formats[0])
+        if self.out_format not in formats:
+            raise ValueError(f"--out must be {' or '.join(formats)}, got {self.out_format!r}")
 
     def fingerprint(self) -> str:
         """Hash of the semantic configuration only.
@@ -136,29 +148,43 @@ def _fraction_str(fr) -> str:
         return mp.nstr(mp.mpf(fr.numerator) / fr.denominator, REAL_DIGITS)
 
 
-def _render(rows: list[dict], out_format: str) -> str:
-    """Dict rows as RFC-4180 CSV headed by the first row's keys, or as a JSON array."""
-    buf = io.StringIO()
-    if out_format == "csv":
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
-    elif out_format == "json":
-        json.dump(rows, buf, indent=2)
-        buf.write("\n")
-    else:
-        raise ValueError(f"unknown output format {out_format!r}")
-    return buf.getvalue()
+class _Line:
+    """A file whose write returns the line, so _CSV.writerow returns its row's text."""
+    write = staticmethod(str)
+
+
+_CSV = csv.writer(_Line())  # the excel dialect csv.DictWriter writes: minimal quoting, CRLF
+
+
+def _rows_text(rows: list, is_csv: bool) -> str:
+    """Dict rows as the CSV lines csv.DictWriter writes for them, or as the
+    elements json.dump(rows, indent=2) writes, each led by ",\n"."""
+    if is_csv:
+        return "".join(map(_CSV.writerow, map(dict.values, rows)))
+    return ",\n" + json.JSONEncoder(indent=2).encode(rows)[2:-2]
+
+
+def _framed(is_csv: bool, header: str, texts):
+    """texts, rows in out_format, as output chunks inside a CSV header or a
+    JSON array.  The header goes out joined to the first text, so nothing
+    is written before it exists; in JSON that text loses the ",\n" every
+    row leads with."""
+    first = next(texts)
+    yield header + first if is_csv else "[\n" + first[2:]
+    yield from texts
+    if not is_csv:
+        yield "\n]\n"
 
 
 def emit(rows, out_format: str, destination=None):
     """Write a command's output to stdout or to `destination`, chunk by chunk.
 
-    rows is a list of dict rows, rendered as one chunk of RFC-4180 CSV
-    headed by the first row's keys or a JSON array with stable field
-    order, or an iterator of text chunks already in out_format (how terms
-    streams), each written as it arrives, so memory does not grow with the
-    output.
+    rows is a list of dict rows, or an iterator of text chunks already in
+    out_format (how terms streams), each written as it arrives.  A list is
+    framed as RFC-4180 CSV headed by the first row's keys (so it needs a
+    row) or as a JSON array with stable field order, and rendered by the
+    standard library's writers SUB_BLOCK rows at a time, so no text of the
+    whole list is ever held.
 
     A file is written to destination + ".tmp" and moved over `destination`
     by os.replace after the last chunk, so no reader sees a partial file.
@@ -168,7 +194,13 @@ def emit(rows, out_format: str, destination=None):
     stdout is pointed at os.devnull, so the flush at shutdown has nothing
     to report, and emit returns normally.
     """
-    chunks = [_render(rows, out_format)] if isinstance(rows, list) else rows
+    chunks = rows
+    if isinstance(rows, list):
+        if out_format not in ("csv", "json"):
+            raise ValueError(f"unknown output format {out_format!r}")
+        is_csv, step = out_format == "csv", exactseq.SUB_BLOCK
+        texts = (_rows_text(rows[i:i + step], is_csv) for i in range(0, len(rows), step))
+        chunks = _framed(is_csv, _CSV.writerow(rows[0]), texts) if rows or is_csv else ["[]\n"]
     if destination is None:
         try:
             sys.stdout.writelines(chunks)
@@ -254,16 +286,8 @@ def _cmd_terms(cfg: RunConfig):
 
 
 def _terms_chunks(is_csv: bool, spans):
-    """The terms output as text chunks: each span's sub-block strings, in order,
-    inside a CSV header or a JSON array.  The header goes out joined to the
-    first string, so nothing is written before the first span is folded; in
-    JSON that string loses the ",\n" every row leads with."""
-    texts = (text for _, (parts,) in spans for text in parts)
-    first = next(texts)
-    yield "n,p,f,y,a,side\r\n" + first if is_csv else "[\n" + first[2:]
-    yield from texts
-    if not is_csv:
-        yield "\n]\n"
+    """The terms output as text chunks: each span's sub-block strings, in order, framed."""
+    return _framed(is_csv, "n,p,f,y,a,side\r\n", (text for _, (parts,) in spans for text in parts))
 
 
 def _terms_text(is_csv: bool, s: int, f, d) -> tuple[list[str]]:
@@ -272,35 +296,33 @@ def _terms_text(is_csv: bool, s: int, f, d) -> tuple[list[str]]:
     one string.
 
     p = f^2 + d; below the half y = f and a = d, above it y = f + 1 and
-    a = 2f + 1 - d.  A CSV row is what csv.DictWriter writes for it: no
-    field needs quoting, and the line ends in CRLF.  JSON rows are the
-    array elements json.dump(rows, indent=2) writes, "n" a bare int and the
-    other fields strings, each led by a comma and a newline, which
-    _terms_chunks drops before the first row.  Module-level, so a pool can
+    a = 2f + 1 - d.  The rows are those _rows_text gives for the dict rows
+    {"n": n, "p": str(p), "f": ..., "side": side}: in CSV no field needs
+    quoting and each line ends in CRLF; in JSON "n" is a bare int, the
+    other fields strings, and each row is led by a comma and a newline,
+    which _framed drops before the first row.  Module-level, so a pool can
     pickle it.
 
     Each int64 kernel sub-block is formatted whole in numpy by _vector_rows:
     every integer becomes base-10^4 digit groups looked up in the one word
     table _DIGITS, the literal text becomes NUL-padded 4-byte words, and
     the NULs are deleted from the bytes at the end.  Object sub-blocks past
-    FD_CAP take _object_rows, one f-string per row: the exact fallback,
-    and the reference the vector path matches byte for byte.
+    FD_CAP take _object_rows, dict rows through _rows_text: the exact
+    fallback, and the standard-library reference the vector path matches
+    byte for byte.
     """
     return ([(_object_rows if f.dtype == object else _vector_rows)(s, f, d, is_csv)],)
 
 
 def _object_rows(s: int, fs, ds, is_csv: bool) -> str:
-    """The rows of one sub-block, one Python f-string each: exact for any (f, d)."""
+    """The rows of one sub-block as dict rows through _rows_text: exact for any (f, d)."""
     below, above = exactseq.Side.BELOW_HALF.value, exactseq.Side.ABOVE_HALF.value
     rows = []
     for n, f, d in zip(range(s, s + len(fs)), fs.tolist(), ds.tolist()):
         y, a, side = (f, d, below) if d <= f else (f + 1, 2 * f + 1 - d, above)
-        if is_csv:
-            rows.append(f"{n},{f * f + d},{f},{y},{a},{side}\r\n")
-        else:
-            rows.append(f',\n  {{\n    "n": {n},\n    "p": "{f * f + d}",\n    "f": "{f}",\n'
-                        f'    "y": "{y}",\n    "a": "{a}",\n    "side": "{side}"\n  }}')
-    return "".join(rows)
+        rows.append({"n": n, "p": str(f * f + d), "f": str(f), "y": str(y), "a": str(a),
+                     "side": side})
+    return _rows_text(rows, is_csv)
 
 
 def _words(text: str) -> np.ndarray:
@@ -565,30 +587,30 @@ def _cmd_fit(cfg: RunConfig):
     return rows
 
 
+# each command's handler, and the RunConfig fields it reads that have no default
 _HANDLERS = {
-    "terms": _cmd_terms,
-    "moments": _cmd_moments,
-    "average": _cmd_average,
-    "sandwich": _cmd_sandwich,
-    "discrepancy": _cmd_discrepancy,
-    "weyl": _cmd_weyl,
-    "knbound": _cmd_knbound,
-    "exceptional": _cmd_exceptional,
-    "nearhalf": _cmd_nearhalf,
-    "histogram": _cmd_histogram,
-    "optimize": _cmd_optimize,
-    "fit": _cmd_fit,
+    "terms": (_cmd_terms, ("lo", "hi")),
+    "moments": (_cmd_moments, ("x", "k")),
+    "average": (_cmd_average, ("x",)),
+    "sandwich": (_cmd_sandwich, ("x", "k", "L")),
+    "discrepancy": (_cmd_discrepancy, ("x",)),
+    "weyl": (_cmd_weyl, ("x", "m_max")),
+    "knbound": (_cmd_knbound, ("x", "m_max")),
+    "exceptional": (_cmd_exceptional, ("x",)),
+    "nearhalf": (_cmd_nearhalf, ("x",)),
+    "histogram": (_cmd_histogram, ("x", "bins")),
+    "optimize": (_cmd_optimize, ()),
+    "fit": (_cmd_fit, ("k", "xs")),
 }
 
 
 def run(config: RunConfig) -> int:
     """Execute one command and write its artifact; returns the exit status."""
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
+    if config.command not in _HANDLERS:
         print(f"unknown command {config.command!r}", file=sys.stderr)
         return 2
     try:
-        emit(handler(config), config.out_format, config.output)
+        emit(_HANDLERS[config.command][0](config), config.out_format, config.output)
     except CheckpointMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

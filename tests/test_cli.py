@@ -276,12 +276,35 @@ class TestEmit:
         cli.emit([{"exact": str(value)}], "json", path)
         assert int(json.loads(path.read_text())[0]["exact"]) == value
 
-    def test_quoting_is_rfc4180(self):
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=["v"])
-        writer.writeheader()
-        writer.writerows([{"v": 'say "hi", ok'}])
-        assert '"say ""hi"", ok"' in buf.getvalue()
+    def test_quoting_is_rfc4180(self, tmp_path):
+        path = tmp_path / "q.csv"
+        cli.emit([{"v": 'say "hi", ok'}], "csv", path)
+        assert '"say ""hi"", ok"' in path.read_text()
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_bytes_equal_the_stdlib_writers(self, tmp_path, monkeypatch, out_format):
+        """Past one block of SUB_BLOCK rows, quoted cells, empty strings, bools,
+        float reprs and nested objects (optimize's rows) come out as
+        csv.DictWriter and json.dump(indent=2) write them, block by block."""
+        rows = [{"n": i, "cell": 'say "hi", ok' if i % 3 else "", "ok": i % 2 == 0,
+                 "ratio": repr(1 / (i + 7)), "doc": {"monomial": "x:3/8", "exponents": {"x": i}}}
+                for i in range(xs.SUB_BLOCK + 1)]
+        buf = io.StringIO(newline="")
+        if out_format == "csv":
+            writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        else:
+            json.dump(rows, buf, indent=2)
+            buf.write("\n")
+        blocks = []
+        rows_text = cli._rows_text
+        monkeypatch.setattr(cli, "_rows_text", lambda block, is_csv:
+                            blocks.append(len(block)) or rows_text(block, is_csv))
+        path = tmp_path / f"rows.{out_format}"
+        cli.emit(rows, out_format, path)
+        assert path.read_bytes() == buf.getvalue().encode()
+        assert blocks == [xs.SUB_BLOCK, 1]
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
@@ -512,6 +535,19 @@ class TestFlagRanges:
         with pytest.raises(ValueError, match="^--out must be csv or json, got 'xml'$"):
             cli.RunConfig(**cfg, out_format="xml")
 
+    @pytest.mark.parametrize("cfg, message", [
+        (dict(command="moments", x=10), "moments needs --k"),
+        (dict(command="histogram", x=10), "histogram needs --bins"),
+        (dict(command="weyl", x=10), "weyl needs --m-max"),
+        (dict(command="sandwich", x=10, k=1), "sandwich needs --L"),
+        (dict(command="fit", k=1), "fit needs --xs"),
+        (dict(command="terms"), "terms needs --range"),
+    ], ids=["moments", "histogram", "weyl", "sandwich", "fit", "terms"])
+    def test_missing_field_refused_by_its_flag(self, cfg, message):
+        # the CLI fills every field; a library-built config is refused, never filled
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cli.RunConfig(**cfg)
+
     @pytest.mark.parametrize("call, message", [
         (lambda: mo.moment(0, 1), "x must be >= 1"),
         (lambda: mo.power_sums_at([0], (1,)), "snapshot points must be >= 1"),
@@ -542,6 +578,21 @@ class TestOptimize:
         doc = json.loads(out)[0]
         assert doc["residual_exponent"] == "65/12"
         assert doc["segment_choice"]["exponents"] == {"K": "1/4", "L": "-1/2", "x": "3/8"}
+
+    @pytest.mark.parametrize("cfg", [dict(preset="moment-residual", k=2),
+                                     dict(expr="F=x:5/2,K:-1/2;G=x:19/8,K:1/4", var="K")],
+                             ids=["preset", "expr"])
+    def test_library_config_writes_the_cli_json(self, tmp_path, cfg):
+        lib, argv = tmp_path / "lib.json", tmp_path / "cli.json"
+        assert cli.run(cli.RunConfig("optimize", **cfg, output=str(lib))) == 0
+        flags = [f"--{name}={value}" for name, value in cfg.items()]
+        assert cli.main(["optimize", *flags, "--output", str(argv)]) == 0
+        assert lib.read_bytes() == argv.read_bytes()
+        assert json.loads(lib.read_text())[0]
+
+    def test_csv_refused_by_out(self):
+        with pytest.raises(ValueError, match="^--out must be json, got 'csv'$"):
+            cli.RunConfig("optimize", preset="moment-residual", k=2, out_format="csv")
 
     def test_expr_requires_var(self, capsys):
         code = cli.main(["optimize", "--expr", "F=x:1"])

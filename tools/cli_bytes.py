@@ -118,6 +118,24 @@ CASES += [("nearhalf", "--x", "47109", "--bits", "32"), ("nearhalf", "--x", "1")
 # the benchmark's two pool shapes, at the default chunk
 CASES += [("moments", "--x", "2000000", "--k", "1", "--workers", "2"),
           ("terms", "--range", "751:150750", "--workers", "2")]
+# every dict-row command in JSON, and optimize, whose one JSON row holds nested objects
+CASES += [(*command, "--x", "150000", "--out", "json") for command in (
+    ("moments", "--k", "3"), ("average",), ("sandwich", "--k", "2", "--L", "100"),
+    ("discrepancy",), ("discrepancy", "--K", "100"), ("weyl", "--m-max", "20"),
+    ("knbound", "--m-max", "5"), ("exceptional",), ("nearhalf",), ("histogram", "--bins", "997"))]
+CASES += [
+    ("fit", "--k", "2", "--xs", "1000,10000,100000", "--out", "json"),
+    ("optimize", "--preset", "moment-residual", "--k", "3"),
+    ("optimize", "--expr", "F=x:5/2,K:-1/2;G=x:19/8,K:1/4", "--var", "K"),
+]
+# dict rows past one rendered block of SUB_BLOCK = 4096 rows, in both formats
+CASES += [
+    ("knbound", "--x", "20000", "--m-max", "4097", "--out", "json"),
+    ("weyl", "--x", "20000", "--m-max", "4097"),
+    ("histogram", "--x", "100000", "--bins", "8193"),
+    ("histogram", "--x", "100000", "--bins", "8193", "--out", "json"),
+    ("histogram", "--x", "100000", "--bins", "1048576", "--out", "json"),
+]
 
 # bad input: one case per form of error message, each exit 2 with no output
 CASES += [
