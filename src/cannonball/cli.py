@@ -17,25 +17,31 @@ state before any of it is used.
 
 emit is the one writer, and _framed its one framing: a CSV header, or a
 JSON array whose every row leads with its ",\n" separator, dropped before
-the first row.  terms formats each kernel sub-block of rows straight from
-(f, d) into one string, exactseq.spans hands on each span's strings, and
-emit writes each string as it arrives, so memory grows with --chunk but
-not with the range.  An int64 kernel sub-block is formatted whole in
-numpy: each integer becomes base-10^4 digit groups, one 4-byte word each
-from a 20001-word table whose second half writes leading zeros as NUL,
-the literal pieces become NUL-padded words, and the text is the bytes of
-one rows-by-words uint32 array with its NULs deleted; p = f^2 + d, past
-int64 from n = 3024617, is built as two base-10^16 limbs.
+the first row.  emit takes any iterable and draws its first item before
+it opens anything: text chunks (terms, checkpoints) are written as they
+arrive, and dict rows are drawn SUB_BLOCK at a time and rendered block by
+block.  terms frames its own chunks: it formats each kernel sub-block of
+rows straight from (f, d) into one string, and exactseq.spans hands on
+each span's strings, so memory grows with --chunk but not with the
+range.  An int64 kernel sub-block is formatted whole in numpy: each
+integer becomes base-10^4 digit groups, one 4-byte word each from a
+20001-word table whose second half writes leading zeros as NUL, the
+literal pieces become NUL-padded words, and the text is the bytes of one
+rows-by-words uint32 array with its NULs deleted; p = f^2 + d, past int64
+from n = 3024617, is built as two base-10^16 limbs.
 
 Every other row is a dict rendered by the standard library, in
 _rows_text: csv.writer in the excel dialect, or json.JSONEncoder with
-indent=2.  That covers the object sub-blocks of terms past FD_CAP, the
-exact reference of the vector path (see _terms_text), and the dict rows
-the other commands return, which emit renders SUB_BLOCK rows at a time
-with the first row's keys as the CSV header.  A file is written to
-FILE.tmp and renamed over FILE only when complete: on any error the .tmp
-file is removed and an existing FILE keeps its bytes.  A reader that
-closes stdout early (`| head`) ends the run quietly, with status 0.
+indent=2, with the first row's keys as the CSV header.  That covers the
+object sub-blocks of terms past FD_CAP, the exact reference of the vector
+path (see _terms_text), and the rows of the other commands.  Each handler
+makes its library call itself, so every refusal and self-check fires
+before any output exists, and returns its rows; histogram, weyl and
+knbound return generators over the library's result, so no command holds
+its whole table of rows.  A file is written to FILE.tmp and renamed over
+FILE only when complete: on any error the .tmp file is removed and an
+existing FILE keeps its bytes.  A reader that closes stdout early
+(`| head`) ends the run quietly, with status 0.
 
 Exit status: 0 on success, 2 for bad input (a request too large for
 memory included), 3 for a checkpoint written by another configuration, 4
@@ -50,6 +56,7 @@ import argparse
 import csv
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -104,8 +111,11 @@ class RunConfig:
         Each message names the flag.  An unset out_format becomes csv, or
         json for optimize, the one format it writes.  Every other bound
         (bits, bins, L, k, K >= 1) is the library's own check, with the
-        library's message."""
-        for name in _HANDLERS.get(self.command, (None, ()))[1]:
+        library's message.  optimize reads k in preset mode only."""
+        fields = _HANDLERS.get(self.command, (None, ()))[1]
+        if self.command == "optimize" and self.preset:
+            fields += ("k",)
+        for name in fields:
             if getattr(self, name) is None:
                 flag = "--range" if name in ("lo", "hi") else "--" + name.replace("_", "-")
                 raise ValueError(f"{self.command} needs {flag}")
@@ -179,12 +189,14 @@ def _framed(is_csv: bool, header: str, texts):
 def emit(rows, out_format: str, destination=None):
     """Write a command's output to stdout or to `destination`, chunk by chunk.
 
-    rows is a list of dict rows, or an iterator of text chunks already in
-    out_format (how terms streams), each written as it arrives.  A list is
-    framed as RFC-4180 CSV headed by the first row's keys (so it needs a
-    row) or as a JSON array with stable field order, and rendered by the
-    standard library's writers SUB_BLOCK rows at a time, so no text of the
-    whole list is ever held.
+    rows is any iterable, and its first item is drawn before anything is
+    opened.  If that item is a str, rows are text chunks already in
+    out_format (how terms and checkpoints are written), each written as it
+    arrives.  Otherwise rows are dict rows, framed as RFC-4180 CSV headed by
+    the first row's keys (so it needs a row) or as a JSON array with stable
+    field order, and rendered by the standard library's writers SUB_BLOCK
+    rows at a time as they are drawn, so neither the rows nor their text
+    are ever held whole.
 
     A file is written to destination + ".tmp" and moved over `destination`
     by os.replace after the last chunk, so no reader sees a partial file.
@@ -194,13 +206,17 @@ def emit(rows, out_format: str, destination=None):
     stdout is pointed at os.devnull, so the flush at shutdown has nothing
     to report, and emit returns normally.
     """
-    chunks = rows
-    if isinstance(rows, list):
+    rows = iter(rows)
+    first = next(rows, None)
+    chunks = rows = itertools.chain([first], rows)
+    if first is None and out_format == "json":
+        chunks = ["[]\n"]
+    elif not isinstance(first, str):
         if out_format not in ("csv", "json"):
             raise ValueError(f"unknown output format {out_format!r}")
-        is_csv, step = out_format == "csv", exactseq.SUB_BLOCK
-        texts = (_rows_text(rows[i:i + step], is_csv) for i in range(0, len(rows), step))
-        chunks = _framed(is_csv, _CSV.writerow(rows[0]), texts) if rows or is_csv else ["[]\n"]
+        is_csv = out_format == "csv"
+        blocks = iter(lambda: list(itertools.islice(rows, exactseq.SUB_BLOCK)), [])
+        chunks = _framed(is_csv, _CSV.writerow(first), (_rows_text(b, is_csv) for b in blocks))
     if destination is None:
         try:
             sys.stdout.writelines(chunks)
@@ -280,13 +296,10 @@ def _read_checkpoint(path: str, fingerprint: str, x: int, names: list) -> tuple[
 
 
 def _cmd_terms(cfg: RunConfig):
-    is_csv = cfg.out_format == "csv"
-    return _terms_chunks(is_csv, exactseq.spans(functools.partial(_terms_text, is_csv), cfg.hi,
-                                                cfg.workers, cfg.chunk, cfg.lo))
-
-
-def _terms_chunks(is_csv: bool, spans):
     """The terms output as text chunks: each span's sub-block strings, in order, framed."""
+    is_csv = cfg.out_format == "csv"
+    spans = exactseq.spans(functools.partial(_terms_text, is_csv), cfg.hi, cfg.workers, cfg.chunk,
+                           cfg.lo)
     return _framed(is_csv, "n,p,f,y,a,side\r\n", (text for _, (parts,) in spans for text in parts))
 
 
@@ -485,26 +498,18 @@ def _cmd_discrepancy(cfg: RunConfig):
 
 
 def _cmd_weyl(cfg: RunConfig):
-    rows = [{"m": m, "ratio": repr(ratio), "prec_bits": 53}
-            for m, ratio in equidist.weyl_profile(cfg.x, cfg.m_max, cfg.bits)]
-    return rows
+    return ({"m": m, "ratio": repr(ratio), "prec_bits": 53}
+            for m, ratio in equidist.weyl_profile(cfg.x, cfg.m_max, cfg.bits))
 
 
 def _cmd_knbound(cfg: RunConfig):
     """|S_m(N)| next to its second-derivative bound for m in [1, m_max]: N times
     weyl's ratios, so one engine pass serves every m."""
-    rows = []
-    for m, ratio in equidist.weyl_profile(cfg.x, cfg.m_max, cfg.bits):
-        modulus = ratio * cfg.x
-        bound = equidist.kn_bound(1, cfg.x, m)
-        rows.append({
-            "m": m,
-            "modulus": repr(modulus),
-            "bound": repr(bound),
-            "ok": modulus <= bound,
-            "prec_bits": 53,
-        })
-    return rows
+    profile = equidist.weyl_profile(cfg.x, cfg.m_max, cfg.bits)
+    bounds = [equidist.kn_bound(1, cfg.x, m) for m, _ in profile]
+    return ({"m": m, "modulus": repr(ratio * cfg.x), "bound": repr(bound),
+             "ok": ratio * cfg.x <= bound, "prec_bits": 53}
+            for (m, ratio), bound in zip(profile, bounds))
 
 
 def _cmd_exceptional(cfg: RunConfig):
@@ -526,10 +531,8 @@ def _cmd_nearhalf(cfg: RunConfig):
 
 def _cmd_histogram(cfg: RunConfig):
     h = equidist.half_distance_histogram(cfg.x, cfg.bins, workers=cfg.workers, chunk=cfg.chunk)
-    rows = [{"x": h.x, "bins": h.bins, "bin": j + 1, "count": c,
-             "flagged_total": h.flagged}
-            for j, c in enumerate(h.counts)]
-    return rows
+    return ({"x": h.x, "bins": h.bins, "bin": j, "count": c, "flagged_total": h.flagged}
+            for j, c in enumerate(h.counts, 1))
 
 
 def _monomial_json(m: minimax.Monomial) -> dict:
@@ -701,7 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
     # no prefix matching here, or --out would silently mean --output
     p = sub.add_parser("optimize", parents=[output, k], allow_abbrev=False,
                        help="balance a decreasing monomial against increasing ones (JSON)")
-    p.set_defaults(out_format="json")
     p.add_argument("--expr", help='e.g. "F=x:5/2,K:-1/2;G=x:19/8,K:1/4"')
     p.add_argument("--var", help="variable to balance")
     p.add_argument("--preset", choices=["moment-residual"],

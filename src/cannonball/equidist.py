@@ -5,10 +5,12 @@ w = floor(2^96 x) held as three 32-bit limbs in int64, and a point of
 precision bits < 96 is the same word with its low 96 - bits bits cleared,
 since floor(2^bits x) = w >> (96 - bits).  So the points {sqrt(P_n)} of
 every precision are views of one table of 96-bit words, built from the
-(f, d) kernel by exactseq._frac_words, and each reader clears the low bits
-one POINT_BLOCK at a time.  Phases for e(m * sqrt(P_n)) come from those
-words: the integer m*f part of m*sqrt(P_n) contributes nothing to e(.), so
-each phase is (m * w) mod 2^96 scaled back to [0, 1), reduced by one
+(f, d) kernel by exactseq._frac_words and grown as a prefix from n = 1,
+and each reader clears the low bits one POINT_BLOCK at a time.  A window
+that starts past the table's end plus one is built alone from the same
+words and not kept.  Phases for e(m * sqrt(P_n)) come from those words:
+the integer m*f part of m*sqrt(P_n) contributes nothing to e(.), so each
+phase is (m * w) mod 2^96 scaled back to [0, 1), reduced by one
 vectorized int64 carry chain for every precision and every harmonic up to
 MAX_HARMONIC, and the only inexactness left is the documented fixed-point
 error plus one float rounding.
@@ -166,23 +168,37 @@ def _float_limbs(x: np.ndarray) -> np.ndarray:
     return limbs
 
 
+def _fill_words(limbs: np.ndarray, lo: int) -> np.ndarray:
+    """limbs, each row i set to the limbs of floor(2^96 {sqrt(P_(lo + i))})."""
+    for s, fs, ds in fd_blocks(lo, lo + len(limbs) - 1):
+        limbs[s - lo:s - lo + len(fs)] = _frac_words(fs, ds)[0]
+    return limbs
+
+
 def _ensure_table(n: int) -> np.ndarray:
     global _table
     built = len(_table)
     if built < n:
         limbs = np.empty((n, 3), np.int64)
         limbs[:built] = _table
-        for s, fs, ds in fd_blocks(built + 1, n):
-            limbs[s - 1:s - 1 + len(fs)] = _frac_words(fs, ds)[0]
+        _fill_words(limbs[built:], built + 1)
         _table = limbs
     return _table
 
 
 def sqrt_frac_points(n: int, bits: int = DEFAULT_BITS, lo: int = 1) -> PhasePoints:
-    """{sqrt(P_i)} for lo <= i <= n to `bits` bits: a view of the one 96-bit table."""
+    """{sqrt(P_i)} for lo <= i <= n to `bits` bits.
+
+    A window that starts inside the one 96-bit table, or right after its
+    end, is a view of that table, grown to n.  A window that starts further
+    on is built alone, from the same kernel words, and not kept: the table
+    is a prefix memo, and indices before lo are never asked for.
+    """
     check_bits(bits)
     if lo < 1 or n < lo:
         raise ValueError("need 1 <= lo <= n")
+    if lo > len(_table) + 1:
+        return PhasePoints(_fill_words(np.empty((n - lo + 1, 3), np.int64), lo), bits)
     return PhasePoints(_ensure_table(n)[lo - 1:n], bits)
 
 

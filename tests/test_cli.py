@@ -1,5 +1,4 @@
 import csv
-import functools
 import io
 import json
 import os
@@ -86,10 +85,8 @@ def assert_same_bytes(got, want):
 
 def span_bytes(lo, hi, out_format):
     """The terms output of [lo, hi] from one span of _terms_text parts, as the CLI writes it."""
-    is_csv = out_format == "csv"
-    one_span = xs.spans(functools.partial(cli._terms_text, is_csv), hi, chunk=hi - lo + 1,
-                        start_n=lo)
-    return "".join(cli._terms_chunks(is_csv, one_span)).encode()
+    cfg = cli.RunConfig("terms", lo=lo, hi=hi, chunk=hi - lo + 1, out_format=out_format)
+    return "".join(cli._cmd_terms(cfg)).encode()
 
 
 class TestTermsStream:
@@ -281,11 +278,15 @@ class TestEmit:
         cli.emit([{"v": 'say "hi", ok'}], "csv", path)
         assert '"say ""hi"", ok"' in path.read_text()
 
-    @pytest.mark.parametrize("out_format", ["csv", "json"])
-    def test_bytes_equal_the_stdlib_writers(self, tmp_path, monkeypatch, out_format):
+    @pytest.mark.parametrize("out_format, given", [
+        ("csv", list), ("json", list),
+        ("csv", lambda rows: (row for row in rows)), ("json", lambda rows: (row for row in rows)),
+    ], ids=["csv", "json", "csv-generator", "json-generator"])
+    def test_bytes_equal_the_stdlib_writers(self, tmp_path, monkeypatch, out_format, given):
         """Past one block of SUB_BLOCK rows, quoted cells, empty strings, bools,
         float reprs and nested objects (optimize's rows) come out as
-        csv.DictWriter and json.dump(indent=2) write them, block by block."""
+        csv.DictWriter and json.dump(indent=2) write them, block by block,
+        from a list or from a generator of the rows."""
         rows = [{"n": i, "cell": 'say "hi", ok' if i % 3 else "", "ok": i % 2 == 0,
                  "ratio": repr(1 / (i + 7)), "doc": {"monomial": "x:3/8", "exponents": {"x": i}}}
                 for i in range(xs.SUB_BLOCK + 1)]
@@ -302,9 +303,40 @@ class TestEmit:
         monkeypatch.setattr(cli, "_rows_text", lambda block, is_csv:
                             blocks.append(len(block)) or rows_text(block, is_csv))
         path = tmp_path / f"rows.{out_format}"
-        cli.emit(rows, out_format, path)
+        cli.emit(given(rows), out_format, path)
         assert path.read_bytes() == buf.getvalue().encode()
         assert blocks == [xs.SUB_BLOCK, 1]
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_rows_drawn_one_block_at_a_time(self, tmp_path, monkeypatch, out_format):
+        """A generator of rows is drawn no further than the block being rendered."""
+        drawn = []
+
+        def rows():
+            for i in range(2 * xs.SUB_BLOCK + 1):
+                drawn.append(i)
+                yield {"n": i}
+
+        seen = []
+        rows_text = cli._rows_text
+        monkeypatch.setattr(cli, "_rows_text", lambda block, is_csv:
+                            seen.append((len(drawn), len(block))) or rows_text(block, is_csv))
+        cli.emit(rows(), out_format, tmp_path / "rows.out")
+        assert seen == [(xs.SUB_BLOCK, xs.SUB_BLOCK), (2 * xs.SUB_BLOCK, xs.SUB_BLOCK),
+                        (2 * xs.SUB_BLOCK + 1, 1)]
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_histogram_rows_are_not_held(self, tmp_path, out_format):
+        # 2^18 bins: the dict rows of the whole table would take tens of MiB
+        path = tmp_path / "h.out"
+        tracemalloc.start()
+        try:
+            assert cli.main(["histogram", "--x", "20000", "--bins", "262144",
+                             "--out", out_format, "--output", str(path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
@@ -542,7 +574,8 @@ class TestFlagRanges:
         (dict(command="sandwich", x=10, k=1), "sandwich needs --L"),
         (dict(command="fit", k=1), "fit needs --xs"),
         (dict(command="terms"), "terms needs --range"),
-    ], ids=["moments", "histogram", "weyl", "sandwich", "fit", "terms"])
+        (dict(command="optimize", preset="moment-residual"), "optimize needs --k"),
+    ], ids=["moments", "histogram", "weyl", "sandwich", "fit", "terms", "optimize_preset"])
     def test_missing_field_refused_by_its_flag(self, cfg, message):
         # the CLI fills every field; a library-built config is refused, never filled
         with pytest.raises(ValueError, match=f"^{message}$"):

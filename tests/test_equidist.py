@@ -60,6 +60,20 @@ class TestExpSum:
         ratios = [eq.exp_sum(1, n, 1).modulus / n for n in (10**3, 10**4, 10**5)]
         assert ratios[2] < ratios[0]
 
+    def test_window_past_the_table_is_built_alone(self, monkeypatch):
+        """A sum far from n = 1 builds its own words, not the table's prefix up to it."""
+        monkeypatch.setattr(eq, "_table", np.empty((0, 3), np.int64))
+        lo, hi = 10**6, 10**6 + 10
+        tracemalloc.start()
+        try:
+            s = eq.exp_sum(lo, hi, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(complex(s.re, s.im) - brute_exp_sum(lo, hi, 3)) <= s.modulus_err
+        assert peak < 1 << 20
+        assert len(eq._table) == 0
+
     def test_m_zero_rejected(self):
         with pytest.raises(ValueError):
             eq.exp_sum(1, 10, 0)

@@ -131,11 +131,16 @@ CASES += [
 # dict rows past one rendered block of SUB_BLOCK = 4096 rows, in both formats
 CASES += [
     ("knbound", "--x", "20000", "--m-max", "4097", "--out", "json"),
+    ("knbound", "--x", "20000", "--m-max", "4097"),
     ("weyl", "--x", "20000", "--m-max", "4097"),
+    ("weyl", "--x", "20000", "--m-max", "4097", "--out", "json"),
     ("histogram", "--x", "100000", "--bins", "8193"),
     ("histogram", "--x", "100000", "--bins", "8193", "--out", "json"),
     ("histogram", "--x", "100000", "--bins", "1048576", "--out", "json"),
 ]
+# 2^20 dict rows drawn from a scan of 4e6 indices, in both formats
+CASES += [("histogram", "--x", "4000000", "--bins", "1048576", *out)
+          for out in ((), ("--out", "json"))]
 
 # bad input: one case per form of error message, each exit 2 with no output
 CASES += [
