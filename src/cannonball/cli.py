@@ -75,6 +75,7 @@ ENV_WORKERS = "CANNONBALL_WORKERS"
 ENV_CHECKPOINT_DIR = "CANNONBALL_CHECKPOINT_DIR"
 # RunConfig fields that do not change results, so no fingerprint holds them
 _NOT_SEMANTIC = {"workers", "chunk", "output", "checkpoint_path", "checkpoint_every"}
+_CHECKPOINT_EVERY = 1 << 20  # default indices between checkpoints, of RunConfig and the flag
 
 
 class CheckpointMismatch(RuntimeError):
@@ -102,7 +103,7 @@ class RunConfig:
     out_format: Optional[str] = None  # None: csv, or json for optimize, which writes JSON only
     output: Optional[str] = None
     checkpoint_path: Optional[str] = None
-    checkpoint_every: int = 1 << 20
+    checkpoint_every: int = _CHECKPOINT_EVERY
 
     def __post_init__(self):
         """Refuse a field the command reads left at None, range-check each flag
@@ -308,13 +309,12 @@ def _terms_text(is_csv: bool, s: int, f, d) -> tuple[list[str]]:
     spans folds into a span's list of strings, so no span is joined into
     one string.
 
-    p = f^2 + d; below the half y = f and a = d, above it y = f + 1 and
-    a = 2f + 1 - d.  The rows are those _rows_text gives for the dict rows
-    {"n": n, "p": str(p), "f": ..., "side": side}: in CSV no field needs
-    quoting and each line ends in CRLF; in JSON "n" is a bare int, the
-    other fields strings, and each row is led by a comma and a newline,
-    which _framed drops before the first row.  Module-level, so a pool can
-    pickle it.
+    p = f^2 + d, and y, a and the side come from exactseq._nearest.  The
+    rows are those _rows_text gives for the dict rows {"n": n, "p": str(p),
+    "f": ..., "side": side}: in CSV no field needs quoting and each line
+    ends in CRLF; in JSON "n" is a bare int, the other fields strings, and
+    each row is led by a comma and a newline, which _framed drops before
+    the first row.  Module-level, so a pool can pickle it.
 
     Each int64 kernel sub-block is formatted whole in numpy by _vector_rows:
     every integer becomes base-10^4 digit groups looked up in the one word
@@ -328,14 +328,9 @@ def _terms_text(is_csv: bool, s: int, f, d) -> tuple[list[str]]:
 
 
 def _object_rows(s: int, fs, ds, is_csv: bool) -> str:
-    """The rows of one sub-block as dict rows through _rows_text: exact for any (f, d)."""
-    below, above = exactseq.Side.BELOW_HALF.value, exactseq.Side.ABOVE_HALF.value
-    rows = []
-    for n, f, d in zip(range(s, s + len(fs)), fs.tolist(), ds.tolist()):
-        y, a, side = (f, d, below) if d <= f else (f + 1, 2 * f + 1 - d, above)
-        rows.append({"n": n, "p": str(f * f + d), "f": str(f), "y": str(y), "a": str(a),
-                     "side": side})
-    return _rows_text(rows, is_csv)
+    """The Terms of one sub-block as dict rows through _rows_text: exact for any (f, d)."""
+    return _rows_text([{"n": t.n, "p": str(t.p), "f": str(t.f), "y": str(t.y), "a": str(t.a),
+                        "side": t.side.value} for t in exactseq._block_terms(s, fs, ds)], is_csv)
 
 
 def _words(text: str) -> np.ndarray:
@@ -394,7 +389,7 @@ def _vector_rows(s: int, f: np.ndarray, d: np.ndarray, is_csv: bool) -> str:
     limb turns nonzero at n = 310723, where P_n passes 10^16.
     """
     heads, tails = _CSV_WORDS if is_csv else _JSON_WORDS
-    low = d <= f
+    y, a, above = exactseq._nearest(f, d)
     fh = f // 10**8
     fl = f - fh * 10**8
     c = 2 * fh * fl
@@ -402,8 +397,7 @@ def _vector_rows(s: int, f: np.ndarray, d: np.ndarray, is_csv: bool) -> str:
     t = fl * fl + d + (c - ch * 10**8) * 10**8
     carry = t // 10**16
     phi = fh * fh + ch + carry
-    values = (np.arange(s, s + len(f), dtype=np.int64), phi, t - carry * 10**16,
-              f, f + ~low, np.where(low, d, 2 * f + 1 - d))
+    values = (np.arange(s, s + len(f), dtype=np.int64), phi, t - carry * 10**16, f, y, a)
     groups = [np.searchsorted(_THRESHOLDS, v, side="right") + 1 for v in values]
     high = phi > 0
     groups[1] *= high
@@ -418,7 +412,7 @@ def _vector_rows(s: int, f: np.ndarray, d: np.ndarray, is_csv: bool) -> str:
             q = v // 10000
             np.take(_DIGITS, v - 10000 * q + _OFFSETS[k, g], out=m[j - 1 - k])
             v = q
-    m[j:] = np.where(low, tails[0][:, None], tails[1][:, None])
+    m[j:] = np.where(above, tails[1][:, None], tails[0][:, None])
     return m.T.tobytes().translate(None, b"\0").decode()
 
 
@@ -676,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", parents=[common, scan, x, k], help="exact k-th moment")
     p.add_argument("--checkpoint", help="checkpoint file for kill-resume")
-    p.add_argument("--checkpoint-every", type=int, default=1 << 20,
+    p.add_argument("--checkpoint-every", type=int, default=_CHECKPOINT_EVERY,
                    help="indices between checkpoints")
 
     sub.add_parser("average", parents=[common, scan, x], help="exact average A(x)")
@@ -731,7 +725,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"${ENV_WORKERS} must be an integer >= 1, got {text!r}")
     if getattr(args, "range", None):
         given["lo"], given["hi"] = args.range
-    if getattr(args, "xs", None):
+    if getattr(args, "xs", None) is not None:
         parts = args.xs.split(",")
         if not all(s.strip().isdecimal() and int(s) >= 1 for s in parts):
             raise ValueError(f"--xs must be integers >= 1 separated by commas, got {args.xs!r}")

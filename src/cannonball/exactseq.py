@@ -24,6 +24,11 @@ Conventions used throughout:
   a = min(d, 2f+1-d)          distance to the nearest square
   {sqrt(p)} < 1/2 exactly when d <= f, i.e. 4p < (2f+1)^2.  Equality never
   happens: 4p is even while (2f+1)^2 is odd.
+
+_nearest(f, d) is the one statement of that rule: it gives the nearest
+square's root y, a and the side, for one index or a whole sub-block, and
+every path that writes a term reads it.  The few paths that keep their own
+form say why where they do.
 """
 
 from __future__ import annotations
@@ -141,16 +146,29 @@ def isqrt(n: int) -> int:
     return math.isqrt(n)
 
 
-def nearest_square_root(p: int) -> int:
-    """The y minimizing |p - y^2|.
+def _nearest(f, d):
+    """(y, a, above) for p = f^2 + d with f = isqrt(p): the root y of the
+    square nearest p, a = |p - y^2|, and whether {sqrt(p)} > 1/2.
 
-    Ties would go to the smaller root, but cannot occur: equality needs
-    2p = f^2 + (f+1)^2, whose right side is odd.
+    above is d > f, that is 4p > (2f+1)^2 (see Conventions), so y = f +
+    above, and a is d below the half and (f+1)^2 - p = 2f + 1 - d above
+    it.  Ties cannot occur: p - f^2 = (f+1)^2 - p needs 2p = f^2 + (f+1)^2,
+    whose right side is odd.  There is no branch, so the same code serves
+    Python ints, int64 kernel sub-blocks and object sub-blocks past FD_CAP.
     """
+    above = d > f
+    return f + above, d + above * (2 * f + 1 - 2 * d), above
+
+
+_SIDES = (Side.BELOW_HALF, Side.ABOVE_HALF)  # indexed by _nearest's `above`
+
+
+def nearest_square_root(p: int) -> int:
+    """The y minimizing |p - y^2| (_nearest)."""
     if p < 0:
         raise ValueError("no nearest square below zero")
     f = math.isqrt(p)
-    return f if 2 * p <= f * f + (f + 1) * (f + 1) else f + 1
+    return _nearest(f, p - f * f)[0]
 
 
 def term(n: int) -> Term:
@@ -159,31 +177,37 @@ def term(n: int) -> Term:
         raise ValueError("term index must be >= 1")
     p = pyramidal(n)
     f = math.isqrt(p)
-    d = p - f * f
-    if 4 * p < (2 * f + 1) ** 2:
-        return Term(n, p, f, f, d, Side.BELOW_HALF)
-    return Term(n, p, f, f + 1, 2 * f + 1 - d, Side.ABOVE_HALF)
+    y, a, above = _nearest(f, p - f * f)
+    return Term(n, p, f, y, a, _SIDES[above])
+
+
+def _block_terms(s: int, f: np.ndarray, d: np.ndarray) -> Iterator[Term]:
+    """The Terms of one (f, d) sub-block, f[i] and d[i] belonging to index s + i.
+
+    _nearest resolves the whole sub-block at once, and p = f^2 + d is
+    formed in Python ints, since it passes 2^63 inside the kernel's range.
+    """
+    fs, ds = f.tolist(), d.tolist()
+    y, a, above = _nearest(f, d)
+    return map(Term, range(s, s + len(fs)), [x * x + e for x, e in zip(fs, ds)], fs,
+               y.tolist(), a.tolist(), map(_SIDES.__getitem__, above.tolist()))
 
 
 def stream_terms(spec: RangeSpec) -> Iterator[Term]:
     """Yield Term for every n in [lo, hi] in order.
 
-    (f, d) come from the block_fd kernel's sub-blocks and p = f^2 + d, in
-    one serial pass whatever spec.chunk is.  Work spread over spans and
-    workers belongs on spans or scan, which cut and merge the spans once
-    for every command.
+    (f, d) come from the block_fd kernel's sub-blocks, each resolved whole
+    by _block_terms, in one serial pass whatever spec.chunk is.  Work
+    spread over spans and workers belongs on spans or scan, which cut and
+    merge the spans once for every command.
     """
-    for lo, fs, ds in fd_blocks(spec.lo, spec.hi):
-        for n, f, d in zip(range(lo, spec.hi + 1), fs.tolist(), ds.tolist()):
-            if d <= f:  # 4p < (2f+1)^2
-                yield Term(n, f * f + d, f, f, d, Side.BELOW_HALF)
-            else:
-                yield Term(n, f * f + d, f, f + 1, 2 * f + 1 - d, Side.ABOVE_HALF)
+    for block in fd_blocks(spec.lo, spec.hi):
+        yield from _block_terms(*block)
 
 
 def terms_block(lo: int, hi: int) -> list[Term]:
-    """Materialized stream_terms over one chunk; picklable worker unit."""
-    return list(stream_terms(RangeSpec(lo, hi, chunk=hi - lo + 1)))
+    """stream_terms over [lo, hi] as a list: a library entry point no command calls."""
+    return list(stream_terms(RangeSpec(lo, hi)))
 
 
 def scan_fd(lo: int, hi: int) -> tuple[list[int], list[int]]:
@@ -264,7 +288,7 @@ def block_fd(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         f = np.sqrt(t).astype(np.int64)
         fu = f.view(np.uint64)  # shares memory with f
         d = p - fu * fu
-        bad = d > fu + fu
+        bad = d > fu + fu  # isqrt's acceptance 0 <= d <= 2f, not _nearest's side
         if np.count_nonzero(bad):
             i = np.flatnonzero(bad)
             f[i] += np.sign(d[i].view(np.int64))
@@ -466,7 +490,7 @@ def _signed_delta(f: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     With the 7.7u^2 of D', hi + lo is within 15.7u^2 delta of the value,
     below 16u^2 delta with the second-order terms dropped above.
     """
-    above = d > f
+    above = d > f  # the signed a = p - y^2, not _nearest's |a|: the proof divides it by y + s
     ff = f.astype(np.float64)
     y = ff + above
     a = (d - above * (2 * f + 1)).astype(np.float64)
@@ -534,6 +558,7 @@ def _exact_bin(f: int, d: int, L: int) -> int:
     unless p is a square, where r = Lf and the bin is 1.
     """
     r = math.isqrt(L * L * (f * f + d))
+    # bin arithmetic on r, not _nearest: each side measures delta from its own root
     return r - L * f + 1 if d <= f else L * (f + 1) - r
 
 
@@ -591,6 +616,7 @@ def in_exceptional(n: int) -> bool:
         raise ValueError("index must be >= 1")
     p = pyramidal(n)
     f = math.isqrt(p)
+    # both definitions written out, not _nearest: the scan cross-checks them
     root_is_lower = 2 * p <= f * f + (f + 1) * (f + 1)
     int_is_lower = 4 * p < (2 * f + 1) ** 2
     return root_is_lower != int_is_lower
@@ -608,6 +634,7 @@ def exceptional_indices(x: int, *, workers: int = 1, chunk: int = CHUNK) -> list
 
 
 def _exceptional_part(s: int, f: np.ndarray, d: np.ndarray) -> tuple[list[int]]:
+    # both definitions written out, not _nearest: the scan cross-checks them
     root_is_lower = 2 * d <= 2 * f + 1
     int_is_lower = 4 * d < 4 * f + 1
     return ((np.flatnonzero(root_is_lower != int_is_lower) + s).tolist(),)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -48,9 +49,15 @@ class TestTerms:
 
 
 def terms_reference(lo, hi, out_format):
-    """The terms output as csv.DictWriter / json.dump write it for Term rows from stream_terms."""
-    rows = [{"n": t.n, "p": str(t.p), "f": str(t.f), "y": str(t.y), "a": str(t.a),
-             "side": t.side.value} for t in xs.stream_terms(xs.RangeSpec(lo, hi))]
+    """The terms output as csv.DictWriter / json.dump write it, for rows built
+    apart from the library's nearest-square rule: (p, y, a) from the
+    brute-force oracle_term, the side from 4p < (2f+1)^2."""
+    rows = []
+    for n in range(lo, hi + 1):
+        p, y, a = oracle_term(n)
+        f = math.isqrt(p)
+        side = "below" if 4 * p < (2 * f + 1) ** 2 else "above"
+        rows.append({"n": n, "p": str(p), "f": str(f), "y": str(y), "a": str(a), "side": side})
     buf = io.StringIO()
     if out_format == "csv":
         writer = csv.DictWriter(buf, fieldnames=["n", "p", "f", "y", "a", "side"])
@@ -553,6 +560,7 @@ class TestFlagRanges:
         (["weyl", "--x", "10", "--m-max", "0"], "--m-max must be >= 1, got 0"),
         (["fit", "--xs", "1,,3"], "--xs must be integers >= 1 separated by commas, got '1,,3'"),
         (["fit", "--xs", "0,1,2"], "--xs must be integers >= 1 separated by commas, got '0,1,2'"),
+        (["fit", "--xs", ""], "--xs must be integers >= 1 separated by commas, got ''"),
     ])
     def test_bad_value_names_the_flag(self, capsys, argv, message):
         assert cli.main(argv) == 2

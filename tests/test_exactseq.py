@@ -1,9 +1,11 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from cannonball import exactseq as xs
+from cannonball import moments as mo
 from conftest import mp_frac_sqrt, newton_isqrt, oracle_term
 
 
@@ -58,6 +60,51 @@ class TestNearestSquareRoot:
             y = xs.nearest_square_root(p)
             d = abs(p - y * y)
             assert all(abs(p - z * z) >= d for z in range(0, 80))
+
+
+# int64 kernel sub-blocks: from n = 1, across n = 3810778 (where P_n passes
+# 2^64), and the last one below FD_CAP
+KERNEL_STARTS = (1, 3_810_778 - xs.SUB_BLOCK // 2, xs.FD_CAP - xs.SUB_BLOCK + 1)
+
+
+class TestNearest:
+    """_nearest, the one rule from (f, d) to (y, a, side), against the brute-force argmin."""
+
+    @staticmethod
+    def assert_matches_oracle(s, f, d):
+        y, a, above = xs._nearest(f, d)
+        for i, (fi, yi, ai, bi) in enumerate(zip(f.tolist(), y.tolist(), a.tolist(),
+                                                 above.tolist())):
+            p, want_y, want_a = oracle_term(s + i)
+            assert (fi, yi, ai, bi) == (math.isqrt(p), want_y, want_a, want_y > fi), s + i
+
+    def test_python_ints_to_1e4(self):
+        for n in range(1, 10**4 + 1):
+            p, y, a = oracle_term(n)
+            f = math.isqrt(p)
+            got = xs._nearest(f, p - f * f)
+            assert got == (y, a, y > f), n
+            assert type(got[0]) is int and type(got[1]) is int
+
+    @pytest.mark.parametrize("s", KERNEL_STARTS)
+    def test_kernel_blocks(self, s):
+        f, d = xs.block_fd(s, s + xs.SUB_BLOCK - 1)
+        assert f.dtype == np.int64
+        self.assert_matches_oracle(s, f, d)
+
+    def test_object_block_past_fd_cap(self):
+        s = xs.FD_CAP + 1
+        f, d = xs.block_fd(s, s + xs.SUB_BLOCK - 1)
+        assert f.dtype == object
+        self.assert_matches_oracle(s, f, d)
+
+    @pytest.mark.parametrize("s", KERNEL_STARTS)
+    def test_power_sums_part_reads_the_same_a(self, s):
+        """_power_sums_part keeps its own in-place a; its sums are those of _nearest's a."""
+        f, d = xs.block_fd(s, s + xs.SUB_BLOCK - 1)
+        a = xs._nearest(f, d)[1].tolist()
+        assert mo._power_sums_part((1, 2, 3), s, f, d) == tuple(
+            sum(v**k for v in a) for k in (1, 2, 3))
 
 
 class TestTerm:
