@@ -1,19 +1,20 @@
 """Exponential sums, discrepancy, and equidistribution diagnostics.
 
 Every point set is exact fixed point: a point x is the 96-bit word
-w = floor(2^96 x) held as three 32-bit limbs in int64, and a point of
-precision bits < 96 is the same word with its low 96 - bits bits cleared,
-since floor(2^bits x) = w >> (96 - bits).  So the points {sqrt(P_n)} of
-every precision are views of one table of 96-bit words, built from the
-(f, d) kernel by exactseq._frac_words and grown as a prefix from n = 1,
-and each reader clears the low bits one POINT_BLOCK at a time.  A window
-that starts past the table's end plus one is built alone from the same
-words and not kept.  Phases for e(m * sqrt(P_n)) come from those words:
-the integer m*f part of m*sqrt(P_n) contributes nothing to e(.), so each
-phase is (m * w) mod 2^96 scaled back to [0, 1), reduced by one
-vectorized int64 carry chain for every precision and every harmonic up to
-MAX_HARMONIC, and the only inexactness left is the documented fixed-point
-error plus one float rounding.
+w = floor(2^96 x) held as three 32-bit limbs, and a point of precision
+bits < 96 is the same word with its low 96 - bits bits cleared, since
+floor(2^bits x) = w >> (96 - bits).  So the points {sqrt(P_n)} of every
+precision are views of one table of 96-bit words, stored as uint32 limbs
+(12 B per index), built from the (f, d) kernel by exactseq._frac_words and
+grown as a prefix from n = 1, and each reader clears the low bits one
+POINT_BLOCK at a time.  A window that starts past the table's end plus one
+is built alone from the same words and not kept.  Phases for
+e(m * sqrt(P_n)) come from those words: the integer m*f part of
+m*sqrt(P_n) contributes nothing to e(.), so each phase is (m * w) mod 2^96
+scaled back to [0, 1), reduced by one vectorized carry chain, which widens
+the limbs to int64 as it multiplies, for every precision and every
+harmonic up to MAX_HARMONIC, and the only inexactness left is the
+documented fixed-point error plus one float rounding.
 
 The star discrepancy is the exact sorted-points supremum for the given
 point set; D(N) follows the unnormalized convention (anchored-interval
@@ -93,10 +94,12 @@ class HistogramResult:
 class PhasePoints:
     """A point set in [0,1) known to `bits` bits: point i is floor(2^bits x_i) / 2^bits.
 
-    words is (N, 3) int64, 32-bit limbs least significant first, of 96-bit
-    words whose top `bits` bits are floor(2^bits x_i); the bits below may be
-    set (a view of the one 96-bit table), and every reader clears them one
-    POINT_BLOCK at a time (block), so no precision copies the table.
+    words is (N, 3) 32-bit limbs, least significant first, of 96-bit words
+    whose top `bits` bits are floor(2^bits x_i): uint32 for the kernel's
+    points (a view of the one 96-bit table), int64 for points coerced from
+    floats or FixedFrac values.  The bits below may be set, and every reader
+    clears them one POINT_BLOCK at a time (block), so no precision copies
+    the table.
     """
 
     words: np.ndarray
@@ -111,8 +114,8 @@ class PhasePoints:
 
     @property
     def limbs(self) -> np.ndarray:
-        """The exact limbs of every point, computed on each access (a copy below 96 bits)."""
-        return _exact(self.words, self.bits)
+        """The exact limbs of every point as int64, a copy computed on each access."""
+        return _exact(self.words, self.bits).astype(np.int64)
 
     @property
     def values(self) -> np.ndarray:
@@ -130,7 +133,7 @@ def _exact(words: np.ndarray, bits: int) -> np.ndarray:
 
 
 # floor(2^96 {sqrt(P_n)}) for n = 1, 2, ...: one table, grown on demand, for every precision.
-_table = np.empty((0, 3), np.int64)
+_table = np.empty((0, 3), np.uint32)
 
 
 def _limb_phases(limbs: np.ndarray, m: int) -> np.ndarray:
@@ -139,12 +142,14 @@ def _limb_phases(limbs: np.ndarray, m: int) -> np.ndarray:
     The carry chain c0 = m*l0, c1 = m*l1 + (c0 >> 32), c2 = m*l2 + (c1 >> 32)
     is exact in int64 for |m| <= MAX_HARMONIC, and since >> is a floor
     division the low 32 bits of c0, c1, c2 are the limbs of the reduced
-    product for m < 0 too.  hi48 * 2^-48 and lo48 * 2^-96 are exact doubles,
-    so their one addition rounds the exact value once.
+    product for m < 0 too.  The limbs may be uint32 or int64: each m*l_j
+    is formed in int64, since m * a uint32 array would stay uint32 and wrap.
+    hi48 * 2^-48 and lo48 * 2^-96 are exact doubles, so their one addition
+    rounds the exact value once.
     """
-    c0 = m * limbs[:, 0]
-    c1 = m * limbs[:, 1] + (c0 >> 32)
-    c2 = m * limbs[:, 2] + (c1 >> 32)
+    c0 = np.multiply(limbs[:, 0], m, dtype=np.int64)
+    c1 = np.multiply(limbs[:, 1], m, dtype=np.int64) + (c0 >> 32)
+    c2 = np.multiply(limbs[:, 2], m, dtype=np.int64) + (c1 >> 32)
     hi48 = ((c2 & _MASK32) << 16) | ((c1 & _MASK32) >> 16)
     lo48 = ((c1 & 0xFFFF) << 32) | (c0 & _MASK32)
     return hi48 * 2.0 ** -48 + lo48 * 2.0 ** -96
@@ -169,7 +174,8 @@ def _float_limbs(x: np.ndarray) -> np.ndarray:
 
 
 def _fill_words(limbs: np.ndarray, lo: int) -> np.ndarray:
-    """limbs, each row i set to the limbs of floor(2^96 {sqrt(P_(lo + i))})."""
+    """limbs, each row i set to the limbs of floor(2^96 {sqrt(P_(lo + i))}),
+    cast to the dtype of limbs (uint32 for the table and its windows)."""
     for s, fs, ds in fd_blocks(lo, lo + len(limbs) - 1):
         limbs[s - lo:s - lo + len(fs)] = _frac_words(fs, ds)[0]
     return limbs
@@ -179,7 +185,7 @@ def _ensure_table(n: int) -> np.ndarray:
     global _table
     built = len(_table)
     if built < n:
-        limbs = np.empty((n, 3), np.int64)
+        limbs = np.empty((n, 3), np.uint32)
         limbs[:built] = _table
         _fill_words(limbs[built:], built + 1)
         _table = limbs
@@ -198,7 +204,7 @@ def sqrt_frac_points(n: int, bits: int = DEFAULT_BITS, lo: int = 1) -> PhasePoin
     if lo < 1 or n < lo:
         raise ValueError("need 1 <= lo <= n")
     if lo > len(_table) + 1:
-        return PhasePoints(_fill_words(np.empty((n - lo + 1, 3), np.int64), lo), bits)
+        return PhasePoints(_fill_words(np.empty((n - lo + 1, 3), np.uint32), lo), bits)
     return PhasePoints(_ensure_table(n)[lo - 1:n], bits)
 
 
@@ -488,10 +494,11 @@ def doubled_distance_points(x: int, bits: int = DEFAULT_BITS) -> PhasePoints:
     above it, since 2^96 v is irrational unless d = 0, where W = 0.  That
     95-bit value shifted left by one bit across the limbs is a word whose
     top b = min(bits, 95) bits are floor(2^b * 2|sqrt(P_n) - y_n|): no
-    float operation enters.
+    float operation enters.  The words are uint32 like the table's, so the
+    shift drops the bit each limb carries out.
     """
     w = sqrt_frac_points(x, bits).words
     w = np.where(w[:, 2:] < 1 << 31, w, _MASK32 - w)
-    words = (w << 1) & _MASK32
+    words = w << 1
     words[:, 1:] |= w[:, :-1] >> 31
     return PhasePoints(words, min(bits, _WIDTH - 1))

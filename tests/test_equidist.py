@@ -61,18 +61,23 @@ class TestExpSum:
         assert ratios[2] < ratios[0]
 
     def test_window_past_the_table_is_built_alone(self, monkeypatch):
-        """A sum far from n = 1 builds its own words, not the table's prefix up to it."""
+        """A sum far from n = 1 builds its own words, not the table's prefix up
+        to it.  Past FD_CAP the kernel hands over object blocks, whose words
+        are stored into the window's uint32 limbs like the kernel's own."""
         monkeypatch.setattr(eq, "_table", np.empty((0, 3), np.int64))
-        lo, hi = 10**6, 10**6 + 10
-        tracemalloc.start()
-        try:
-            s = eq.exp_sum(lo, hi, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert abs(complex(s.re, s.im) - brute_exp_sum(lo, hi, 3)) <= s.modulus_err
-        assert peak < 1 << 20
-        assert len(eq._table) == 0
+        for lo, hi in ((10**6, 10**6 + 10), (xs.FD_CAP - 3, xs.FD_CAP + 4)):
+            pts = eq.sqrt_frac_points(hi, 96, lo=lo)
+            want = xs._limbs([xs.frac_sqrt(n, 96).mantissa for n in range(lo, hi + 1)])
+            assert np.array_equal(pts.limbs, want)
+            tracemalloc.start()
+            try:
+                s = eq.exp_sum(lo, hi, 3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert abs(complex(s.re, s.im) - brute_exp_sum(lo, hi, 3)) <= s.modulus_err
+            assert peak < 1 << 20
+            assert len(eq._table) == 0
 
     def test_m_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,13 @@
 """The exact point representation: 96-bit words in three 32-bit limbs.
 
 Every exact point is stored as mantissa << (96 - bits), and every phase
-(m * mantissa) mod 2^bits comes from one int64 carry chain over its limbs.
+(m * mantissa) mod 2^bits comes from one int64 carry chain over its limbs,
+which the table stores as uint32.
 These tests pin that representation: each phase and each point value must
 be the correctly rounded float of the exact rational, bit for bit, at every
 supported precision and harmonic; FixedFrac points must give the same
-results as the table; and a cold table build stays within a per-index
-memory budget.
+results as the table; uint32 limbs give the same phases as int64 ones;
+and a cold table build stays within a per-index memory budget.
 """
 
 import math
@@ -121,17 +122,24 @@ def test_fixedfrac_bits_outside_range_rejected():
 
 
 def test_cold_build_memory(monkeypatch):
-    """The table keeps 24 B per index (the limbs); the build adds only
-    per-sub-block transients."""
+    """The table keeps 12 B per index (the uint32 limbs); the build adds only
+    per-sub-block transients.  doubled_distance_points' words, read off the
+    warm table, are uint32 too."""
     monkeypatch.setattr(eq, "_table", np.empty((0, 3), np.int64))
     n = 60000
-    tracemalloc.start()
-    try:
-        eq.sqrt_frac_points(n)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 96 * n
+    peaks = []
+    for build in (eq.sqrt_frac_points, eq.doubled_distance_points):
+        tracemalloc.start()
+        try:
+            build(n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert eq._table.dtype == np.uint32
+    assert eq._table.nbytes == 12 * n
+    cold, warm = peaks
+    assert cold < 32 * n
+    assert warm < 48 * n
 
 
 _COLD_BUILD = """
@@ -149,7 +157,8 @@ print(peak, np.shares_memory(pts.words, eq._table))
 def test_lower_precision_is_a_view():
     """A cold sqrt_frac_points(n, 48) allocates no more than the 96-bit call:
     every precision is a view of the table, and its readers clear the low
-    bits one POINT_BLOCK at a time (a masked copy would add 24 B per index).
+    bits one POINT_BLOCK at a time (a masked copy would add at least 12 B
+    per index).
 
     Each build runs in a fresh interpreter.  In one process the second
     build's peak also carries numpy's shape-buffer refills, since the first
@@ -165,6 +174,19 @@ def test_lower_precision_is_a_view():
         assert shared == "True"
         peaks[bits] = int(peak)
     assert peaks[48] <= peaks[96]
+
+
+@pytest.mark.parametrize("m", [1, -1, 3, -7, eq.MAX_HARMONIC, -eq.MAX_HARMONIC])
+def test_uint32_limbs_widen_in_the_carry_chain(m):
+    """m times a uint32 array stays uint32 and wraps (or raises for m < 0), so
+    every product of the carry chain must be formed in int64: uint32 limbs
+    give the int64 limbs' phases bit for bit, at both ends of the limb range."""
+    edge = np.array([0, 1, 2**31 - 1, 2**31, 2**32 - 1], np.int64)
+    rows = np.stack(np.meshgrid(edge, edge, edge), -1).reshape(-1, 3)
+    rng = np.random.default_rng(29)
+    limbs = np.concatenate([rows, rng.integers(0, 1 << 32, (1000, 3), np.int64)])
+    want = eq._limb_phases(limbs, m)
+    assert eq._limb_phases(limbs.astype(np.uint32), m).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("order", [(48, 96), (96, 48)])
