@@ -195,9 +195,9 @@ def emit(rows, out_format: str, destination=None):
     out_format (how terms and checkpoints are written), each written as it
     arrives.  Otherwise rows are dict rows, framed as RFC-4180 CSV headed by
     the first row's keys (so it needs a row) or as a JSON array with stable
-    field order, and rendered by the standard library's writers SUB_BLOCK
-    rows at a time as they are drawn, so neither the rows nor their text
-    are ever held whole.
+    field order, and rendered by the standard library's writers
+    exactseq.SUB_BLOCK (8192) rows at a time as they are drawn, so neither
+    the rows nor their text are ever held whole.
 
     A file is written to destination + ".tmp" and moved over `destination`
     by os.replace after the last chunk, so no reader sees a partial file.

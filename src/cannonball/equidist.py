@@ -94,12 +94,12 @@ class HistogramResult:
 class PhasePoints:
     """A point set in [0,1) known to `bits` bits: point i is floor(2^bits x_i) / 2^bits.
 
-    words is (N, 3) 32-bit limbs, least significant first, of 96-bit words
-    whose top `bits` bits are floor(2^bits x_i): uint32 for the kernel's
-    points (a view of the one 96-bit table), int64 for points coerced from
-    floats or FixedFrac values.  The bits below may be set, and every reader
-    clears them one POINT_BLOCK at a time (block), so no precision copies
-    the table.
+    words is (N, 3) uint32 limbs, least significant first, of 96-bit words
+    whose top `bits` bits are floor(2^bits x_i), 12 B per point: a view of
+    the one 96-bit table for the kernel's points, a fresh array for points
+    coerced from floats or FixedFrac values.  The bits below may be set,
+    and every reader clears them one POINT_BLOCK at a time (block), so no
+    precision copies the table.
     """
 
     words: np.ndarray
@@ -129,7 +129,9 @@ class PhasePoints:
 
 def _exact(words: np.ndarray, bits: int) -> np.ndarray:
     """words with the low 96 - bits bits cleared: the words themselves at 96 bits."""
-    return words if bits == _WIDTH else words & _limbs([(1 << _WIDTH) - (1 << (_WIDTH - bits))])
+    if bits == _WIDTH:
+        return words
+    return words & _limbs([(1 << _WIDTH) - (1 << (_WIDTH - bits))], np.uint32)
 
 
 # floor(2^96 {sqrt(P_n)}) for n = 1, 2, ...: one table, grown on demand, for every precision.
@@ -156,7 +158,7 @@ def _limb_phases(limbs: np.ndarray, m: int) -> np.ndarray:
 
 
 def _float_limbs(x: np.ndarray) -> np.ndarray:
-    """Limbs of floor(2^96 x) for floats x in [0, 1).
+    """uint32 limbs of floor(2^96 x) for floats x in [0, 1).
 
     Each step scales by 2^32, takes the floor as the next limb and keeps
     the remainder; scaling by a power of two and subtracting the floor of a
@@ -165,7 +167,7 @@ def _float_limbs(x: np.ndarray) -> np.ndarray:
     """
     if not np.all((x >= 0.0) & (x < 1.0)):
         raise ValueError("points must lie in [0, 1)")
-    limbs = np.empty((len(x), 3), np.int64)
+    limbs = np.empty((len(x), 3), np.uint32)
     for j in (2, 1, 0):
         x = x * 2.0 ** 32
         limbs[:, j] = np.floor(x)
@@ -226,7 +228,8 @@ def as_phase_points(points, bits: int = DEFAULT_BITS) -> PhasePoints:
         if any(ff.bits != b for ff in seq):
             raise ValueError("mixed fixed-point precisions in one point set")
         check_bits(b)
-        return PhasePoints(_limbs([ff.mantissa << (_WIDTH - b) for ff in seq]), min(b, bits))
+        return PhasePoints(_limbs([ff.mantissa << (_WIDTH - b) for ff in seq], np.uint32),
+                           min(b, bits))
     return PhasePoints(_float_limbs(np.asarray(seq, np.float64)), bits)
 
 

@@ -49,7 +49,7 @@ import numpy as np
 
 DEFAULT_BITS = 96
 FD_CAP = 10**10      # last index the vector (f, d) kernel accepts; see block_fd
-SUB_BLOCK = 1 << 12  # indices per kernel call, which bounds its transient arrays
+SUB_BLOCK = 1 << 13  # indices per kernel call, which bounds its transient arrays
 CHUNK = 1 << 16      # default indices per span (--chunk): one pool task, one terms span
 # largest histogram bin count, which sizes the histogram's one bin array; it
 # also caps the sandwich's L/2, as input validation far below distance_bins' L < 2^53
@@ -246,10 +246,11 @@ def block_fd(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     where the residue is negative, up where it exceeds 2f) and the same
     check again.
 
-    The float root: the columns are exact doubles (below 2^35), and so is
-    lo.  The sum is evaluated as ((i+1) lo + i(i+1)) lo + i(i+1)(2i+1)/6 +
-    fl(P(lo-1)), nonnegative terms only, and each term of P passes through
-    at most five roundings (the lo^2 term: two products, three sums), so
+    The float root: the columns are exact doubles (below 2^38 for
+    i < SUB_BLOCK = 2^13), and so is lo.  The sum is evaluated as
+    ((i+1) lo + i(i+1)) lo + i(i+1)(2i+1)/6 + fl(P(lo-1)), nonnegative
+    terms only, and each term of P passes through at most five roundings
+    (the lo^2 term: two products, three sums), so
     with u = 2^-53 the sum is within 5u P of P; the sqrt halves that and
     rounds once, so the estimate is within 3.5u sqrt(P) of sqrt(P).  At
     n = FD_CAP that is below 0.225 (sqrt(P) < 5.78e14), so the start f' is
@@ -423,10 +424,10 @@ def frac_mantissa(f: int, d: int, bits: int) -> int:
     return math.isqrt((f * f + d) << (2 * bits)) - (f << bits)
 
 
-def _limbs(words: list[int]) -> np.ndarray:
-    """(len(words), 3) int64 array of the 32-bit limbs of 96-bit words, least significant first."""
+def _limbs(words: list[int], dtype=np.int64) -> np.ndarray:
+    """(len(words), 3) array of the 32-bit limbs of 96-bit words, least significant first."""
     buf = b"".join([w.to_bytes(12, "little") for w in words])
-    return np.frombuffer(buf, "<u4").reshape(-1, 3).astype(np.int64)
+    return np.frombuffer(buf, "<u4").reshape(-1, 3).astype(dtype)
 
 
 def _two_sum(a, b):
@@ -453,6 +454,7 @@ def _two_prod(a, b):
 
 _WORD_F = 1 << 50       # f below this keeps f, d, y and a exact doubles; see _signed_delta
 _WORD_BAND = 2.0 ** -7  # leftover fractions _frac_words leaves to frac_mantissa
+_WORD_SLICE = 1 << 12   # indices per pass of _frac_words' chain, whose temporaries stay in cache
 
 
 def _signed_delta(f: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -526,10 +528,28 @@ def _frac_words(f: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, int]:
     leftover fraction lies near a limb boundary, about 2^-6 of them, and
     d = 0 (rho = 0); and, whole, object blocks past FD_CAP and any block
     with f >= 2^50.
+
+    The chain runs over _WORD_SLICE = 2^12 indices at a time, whatever the
+    block's length: each index is decided alone, so the words and the
+    count do not depend on the slicing, and about forty temporaries of
+    2^12 doubles stay in cache where those of a 2^13-index sub-block do not.
     """
     n = len(f)
     if f.dtype == object or (n and f.max() >= _WORD_F):
         return _limbs([frac_mantissa(a, b, 96) for a, b in zip(f.tolist(), d.tolist())]), n
+    words = np.empty((n, 3), np.int64)
+    fallback = 0
+    for b in range(0, n, _WORD_SLICE):
+        s = slice(b, b + _WORD_SLICE)
+        fallback += _slice_words(f[s], d[s], words[s])
+    return words, fallback
+
+
+def _slice_words(f: np.ndarray, d: np.ndarray, words: np.ndarray) -> int:
+    """_frac_words' chain over one slice of a kernel block, into words; the fallback count.
+
+    A function of its own, so the chain's temporaries die before the next slice's.
+    """
     hi, lo = _signed_delta(f, d)
     k = []  # k2, k1, k0
     for _ in range(3):
@@ -537,7 +557,6 @@ def _frac_words(f: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, int]:
         r = np.rint(hi)
         k.append(r.astype(np.int64))
         hi, lo = _two_sum(hi - r, lo)
-    words = np.empty((n, 3), np.int64)
     carry = -(hi < 0).astype(np.int64)  # floor(rho)
     for j, limb in enumerate(reversed(k)):
         c = limb + carry
@@ -547,7 +566,7 @@ def _frac_words(f: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, int]:
     if len(idx):
         words[idx] = _limbs([frac_mantissa(a, b, 96) for a, b in zip(f[idx].tolist(),
                                                                     d[idx].tolist())])
-    return words, len(idx)
+    return len(idx)
 
 
 def _exact_bin(f: int, d: int, L: int) -> int:
@@ -691,8 +710,8 @@ def near_half_count(x: int, bits: int = DEFAULT_BITS, *, workers: int = 1,
     hold every index the window or the flag zone can hold, and for c >= 1/2
     (x <= 2) they are every index.  The prefilter runs as vector compares
     on each (f, d) sub-block; only the survivors take the exact fixed-point
-    path, one frac_mantissa each.  A sub-block of N = min(x, 4096) indices
-    keeps about 2 N x^(-3/4) of them, at most about 16, plus about 2/f per
+    path, one frac_mantissa each.  A sub-block of N = min(x, 8192) indices
+    keeps about 2 N x^(-3/4) of them, at most about 19, plus about 2/f per
     index from the slack (a handful in all, at the smallest n), and one
     frac_mantissa (about 2-3 us) costs far less than one _frac_words call
     (about 0.1-0.17 ms at any length).

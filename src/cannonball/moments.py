@@ -3,7 +3,7 @@
 M_k(x) = sum of a_n^k over n <= x is accumulated as a Python integer, so
 every reported moment is exact.  Within a kernel (f, d) sub-block every
 exact power sum, of the moments and of the sandwich's numerators alike, is
-taken modulo 2^64 and modulo enough of 63 primes below 2^31 in uint64 and
+taken modulo 2^64 and modulo enough of 64 primes below 2^31 in uint64 and
 rebuilt by the Chinese remainder theorem (_residue_power_sums); on object
 blocks past FD_CAP they are Python-int powers.  Main terms are evaluated
 with mpmath at WORK_PREC bits; residuals are exact-minus-main at that
@@ -82,9 +82,10 @@ def _power_sums_part(ks, s: int, f: np.ndarray, d: np.ndarray) -> tuple[int, ...
     """Exact sums of a^k for each k in ks over one (f, d) sub-block, a = min(d, 2f + 1 - d).
 
     On the kernel path a is one row of _residue_power_sums with top =
-    max(a): below FD_CAP a <= f < 2^50 and a sub-block holds at most 2^12
-    terms, so at k = 1 the sum is below 2^62 and needs no prime, and the
-    bound 2^12 (2^50)^12 = 2^612 at k = K_MAX needs 18 primes at most.
+    max(a): below FD_CAP a <= f < 2^50 and a sub-block holds at most
+    SUB_BLOCK = 2^13 terms, so at k = 1 the sum is below 2^63 and needs no
+    prime, and the bound 2^13 (2^50)^12 = 2^613 at k = K_MAX needs 18
+    primes at most (2^64 times 18 of them exceeds 2^621).
     The residues mod p are a itself while top < p.  Past the cap a holds
     Python ints, and every power at k >= 2 is a Python-int power.
     """
@@ -100,9 +101,10 @@ def _power_sums_part(ks, s: int, f: np.ndarray, d: np.ndarray) -> tuple[int, ...
     return tuple(row for row, in sums)
 
 
-# The 63 largest primes below 2^31, all above 2^31 - 2^11.  With 2^64 they
-# are pairwise coprime moduli whose product exceeds 2^2016, the largest
-# bound _residue_power_sums meets (see _sandwich_part).
+# The 64 largest primes below 2^31, all above 2^31 - 2^11.  With 2^64 they
+# are pairwise coprime moduli whose product exceeds 2^2047; the largest bound
+# _residue_power_sums meets is 2^2017 (see _sandwich_part), past the 63-prime
+# product, which lies below 2^(64 + 63 * 31).
 _PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
            2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
            2147483353, 2147483323, 2147483269, 2147483249, 2147483237, 2147483179,
@@ -113,7 +115,7 @@ _PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 214748354
            2147482697, 2147482693, 2147482681, 2147482663, 2147482661, 2147482621,
            2147482591, 2147482583, 2147482577, 2147482507, 2147482501, 2147482481,
            2147482417, 2147482409, 2147482367, 2147482361, 2147482349, 2147482343,
-           2147482327, 2147482291, 2147482273)
+           2147482327, 2147482291, 2147482273, 2147482237)
 
 
 @cache
@@ -169,7 +171,7 @@ def _residue_power_sums(ks, residue, top: int) -> list[list[int]]:
     The moduli are pairwise coprime, so with _crt's coefficients sum r_i c_i
     is S modulo each m_i, hence modulo M, and 0 <= S <= B < M makes S =
     sum r_i c_i mod M.  With B < 2^64 (t = 0) S is its uint64 sum itself.
-    All 63 primes cover B up to 2^2016; a larger B is a ValueError.
+    All 64 primes cover B below 2^2047; a larger B is a ValueError.
     """
     u = residue(None)
     ts = []
@@ -334,9 +336,9 @@ def _sandwich_part(k: int, L: int, bits: int, s: int, fs: np.ndarray,
     * j <= L/2 <= MAX_BINS = 2^20 (delta < 1/2), so (j - 1) (t mod p) and
       j' (t mod p) + j' lie below 2^52 before their reduction;
     * v, v' <= top = max(j) ((2 max(f) + 2) << bits), since t + 1 <=
-      2^bits (g + 1); at bits = 96 and k = K_MAX over 2^12 terms the bound
-      n top^k reaches 2^12 (2^20 2^51 2^96)^12 = 2^2016, which all 63
-      primes of _PRIMES cover.
+      2^bits (g + 1); at bits = 96 and k = K_MAX over SUB_BLOCK = 2^13
+      terms the bound n top^k reaches 2^13 (2^20 2^51 2^96)^12 = 2^2017,
+      which the 64 primes of _PRIMES cover and 63 would not.
 
     Object blocks past FD_CAP take a per-index loop of Python-int powers,
     the exact reference, with t = isqrt(p << 2 bits) + (y << bits), the

@@ -70,6 +70,18 @@ class TestPyramidalBlocks:
     def test_last_block_below_the_cap(self):
         assert_words(*xs.block_fd(xs.FD_CAP - xs.SUB_BLOCK + 1, xs.FD_CAP))
 
+    @pytest.mark.parametrize("lo", [3_810_778 - xs.SUB_BLOCK // 2, xs.FD_CAP - xs.SUB_BLOCK + 1],
+                             ids=["p_passes_2_64", "ends_at_fd_cap"])
+    def test_full_sub_block_is_its_slices(self, lo):
+        """A whole kernel sub-block (two of the chain's slices) is exact row by
+        row, and falls back exactly as often as its two halves do alone."""
+        f, d = xs.block_fd(lo, lo + xs.SUB_BLOCK - 1)
+        assert f.dtype == np.int64 and len(f) == xs.SUB_BLOCK == 2 * xs._WORD_SLICE
+        assert_words(f, d)
+        halves = [xs._frac_words(f[s:s + xs._WORD_SLICE], d[s:s + xs._WORD_SLICE])[1]
+                  for s in range(0, xs.SUB_BLOCK, xs._WORD_SLICE)]
+        assert xs._frac_words(f, d)[1] == sum(halves)
+
     @pytest.mark.parametrize("n", [1, 24])
     def test_perfect_squares(self, n):
         f, d = xs.block_fd(n, n)

@@ -1,4 +1,4 @@
-"""tools/kernel_rate.py: block_fd's ns per index at four sub-block starts."""
+"""tools/kernel_rate.py: block_fd's and each reduction's ns per index at four sub-block starts."""
 
 import os
 import subprocess
@@ -15,13 +15,15 @@ def test_four_int64_rows():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(SCRIPT), "--repeat", "1"],
                           env=env, capture_output=True, text=True, check=True)
-    header, *rows = proc.stdout.splitlines()
-    assert header.split() == ["start", "ns/index", "dtype"]
+    title, header, *rows = proc.stdout.splitlines()
+    assert title == f"ns per index, SUB_BLOCK = {xs.SUB_BLOCK}"
+    assert header.split() == ["start", "block_fd", "sums_k1", "sums_k3", "sums_k7",
+                              "bins_L40", "words", "dtype"]
     assert [int(row.split()[0]) for row in rows] == [1, 6 * 10**6, 10**9,
                                                      xs.FD_CAP - xs.SUB_BLOCK + 1]
     for row in rows:
-        _, ns, dtype = row.split()
-        assert float(ns) > 0 and dtype == "int64"
+        _, *ns, dtype = row.split()
+        assert len(ns) == 6 and all(float(v) > 0 for v in ns) and dtype == "int64"
 
 
 def test_rejects_zero_repeat():

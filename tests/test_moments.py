@@ -146,7 +146,7 @@ class TestLimbPowerSums:
 
     def test_worst_case_full_sub_block(self):
         # a = 2^50 - 1 on every index is the largest kernel-block bound,
-        # 2^12 (2^50)^12 at k = 12, which needs 18 of the 63 primes
+        # 2^13 (2^50)^12 at k = 12, which needs 18 of the 64 primes
         f = np.full(xs.SUB_BLOCK, 2**50 - 1, np.int64)
         ks = tuple(range(1, mo.K_MAX + 1))
         assert mo._power_sums_part(ks, 1, f, f) == python_power_sums(ks, f, f)
@@ -196,17 +196,17 @@ class TestResiduePowerSums:
         assert f.dtype == np.int64
         assert mo._power_sums_part(self.HIGH, s, f, d) == python_power_sums(self.HIGH, f, d)
 
-    def test_moduli_are_the_63_largest_primes_below_2_31(self):
+    def test_moduli_are_the_64_largest_primes_below_2_31(self):
         primes = mo._PRIMES
-        assert len(set(primes)) == len(primes) == 63
+        assert len(set(primes)) == len(primes) == 64
         assert all(is_prime(p) for p in primes)
         assert [n for n in range(primes[-1], 2**31) if is_prime(n)] == sorted(primes)
         # the sandwich's limb sum mod p assumes p > 2^31 - 2^11
         assert min(primes) > 2**31 - 2**11
-        # they cover the worst case below FD_CAP, the sandwich's 2^12 v^12
-        # with v < 2^20 2^51 2^96, and 62 of them would not
+        # they cover the worst case below FD_CAP, the sandwich's 2^13 v^12
+        # with v < 2^20 2^51 2^96, and 63 of them would not
         m, coeffs = mo._crt(len(primes))
-        assert m == (1 << 64) * math.prod(primes) > 2**2016 > mo._crt(len(primes) - 1)[0]
+        assert m == (1 << 64) * math.prod(primes) > 2**2017 > mo._crt(len(primes) - 1)[0]
         for i, q in enumerate((1 << 64, *primes)):
             assert [c % q for c in coeffs] == [int(i == j) for j in range(len(coeffs))]
 
@@ -227,9 +227,9 @@ class TestResiduePowerSums:
         assert proc.stdout.split() == ["2"]
 
     def test_bound_past_the_last_prime_rejected(self):
-        top = 1 << 2016
+        top = 1 << 2047
         assert 4 * top > mo._crt(len(mo._PRIMES))[0]
-        with pytest.raises(ValueError, match="all 63 primes"):
+        with pytest.raises(ValueError, match="all 64 primes"):
             mo._residue_power_sums((1,), lambda q: np.zeros((1, 4), np.uint64), top)
 
     def test_no_python_pow_on_kernel_blocks(self, monkeypatch):

@@ -2,11 +2,11 @@
 
 Every exact point is stored as mantissa << (96 - bits), and every phase
 (m * mantissa) mod 2^bits comes from one int64 carry chain over its limbs,
-which the table stores as uint32.
+which every point set stores as uint32.
 These tests pin that representation: each phase and each point value must
 be the correctly rounded float of the exact rational, bit for bit, at every
-supported precision and harmonic; FixedFrac points must give the same
-results as the table; uint32 limbs give the same phases as int64 ones;
+supported precision and harmonic; float and FixedFrac points must give
+the same results as the table; uint32 limbs give the same phases as int64 ones;
 and a cold table build stays within a per-index memory budget.
 """
 
@@ -73,6 +73,46 @@ def test_fixedfrac_points_match_the_table(bits):
     n = 3000
     ffs = [xs.frac_sqrt(i, bits) for i in range(1, n + 1)]
     assert eq.erdos_turan(ffs, 10) == eq.erdos_turan(eq.sqrt_frac_points(n, bits), 10)
+
+
+def coerced_kinds(n, bits):
+    """The first n points {sqrt(P_i)} at `bits` bits three ways: the table's
+    view, FixedFrac values and floats.  Below 53 bits each point is an exact
+    float, so the three are the same words."""
+    ffs = [xs.frac_sqrt(i, bits) for i in range(1, n + 1)]
+    return (eq.sqrt_frac_points(n, bits), eq.as_phase_points(ffs, bits),
+            eq.as_phase_points([float(ff) for ff in ffs], bits))
+
+
+def test_coerced_points_are_uint32_limbs():
+    """Float and FixedFrac points keep 12 B per point, like the table."""
+    n = 1000
+    for pts in (eq.as_phase_points(np.random.default_rng(0).random(n)),
+                eq.as_phase_points([xs.frac_sqrt(i, 48) for i in range(1, n + 1)])):
+        assert pts.words.dtype == np.uint32 and pts.words.shape == (n, 3)
+        assert pts.words.nbytes == 12 * n
+
+
+def test_block_below_96_bits_stays_uint32():
+    """block() clears the low bits with a uint32 mask, so no kind of point
+    is widened to int64 below 96 bits, and all three give the same words."""
+    blocks = [pts.block(0) for pts in coerced_kinds(3000, 48)]
+    assert [b.dtype for b in blocks] == [np.uint32] * 3
+    assert blocks[0].tobytes() == blocks[1].tobytes() == blocks[2].tobytes()
+    assert not blocks[0][:, 0].any() and not (blocks[0][:, 1] & 0xFFFF).any()  # low 48 bits
+
+
+def test_every_reader_agrees_on_every_kind():
+    """star_discrepancy, erdos_turan and the exp_sum engine give the same
+    floats, bit for bit, on table, FixedFrac and float points."""
+    n, bits, m = 3000, 48, 7
+    kinds = coerced_kinds(n, bits)
+    es = eq.exp_sum(1, n, m, bits)
+    for pts in kinds:
+        assert eq.star_discrepancy(pts) == eq.star_discrepancy(kinds[0])
+        assert eq.erdos_turan(pts, 20, bits) == eq.erdos_turan(kinds[0], 20, bits)
+        (s,), (err,) = eq._harmonic_sums(pts, m, 1)
+        assert (complex(s), float(err)) == (complex(es.re, es.im), es.modulus_err)
 
 
 def test_erdos_turan_reads_points_at_its_bits():

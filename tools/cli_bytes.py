@@ -128,7 +128,7 @@ CASES += [
     ("optimize", "--preset", "moment-residual", "--k", "3"),
     ("optimize", "--expr", "F=x:5/2,K:-1/2;G=x:19/8,K:1/4", "--var", "K"),
 ]
-# dict rows past one rendered block of SUB_BLOCK = 4096 rows, in both formats
+# dict rows past 4096 rows, one rendered block while SUB_BLOCK was 4096, in both formats
 CASES += [
     ("knbound", "--x", "20000", "--m-max", "4097", "--out", "json"),
     ("knbound", "--x", "20000", "--m-max", "4097"),
@@ -137,6 +137,21 @@ CASES += [
     ("histogram", "--x", "100000", "--bins", "8193"),
     ("histogram", "--x", "100000", "--bins", "8193", "--out", "json"),
     ("histogram", "--x", "100000", "--bins", "1048576", "--out", "json"),
+]
+# the same edges at SUB_BLOCK = 8192: terms across one sub-block, and dict
+# rows past one rendered block (weyl, knbound) and past two (histogram)
+CASES += [
+    ("terms", "--range", "8000:8400"),
+    ("terms", "--range", "8000:8400", "--out", "json"),
+    ("terms", "--range", "1:8193", "--out", "json", "--workers", "2", "--chunk", "8192"),
+    ("terms", "--range", "8192:8193", "--out", "json", "--chunk", "1"),
+    ("terms", "--range", "8192:8193"),
+    ("weyl", "--x", "20000", "--m-max", "8193"),
+    ("weyl", "--x", "20000", "--m-max", "8193", "--out", "json"),
+    ("knbound", "--x", "20000", "--m-max", "8193"),
+    ("knbound", "--x", "20000", "--m-max", "8193", "--out", "json"),
+    ("histogram", "--x", "100000", "--bins", "16385"),
+    ("histogram", "--x", "100000", "--bins", "16385", "--out", "json"),
 ]
 # 2^20 dict rows drawn from a scan of 4e6 indices, in both formats
 CASES += [("histogram", "--x", "4000000", "--bins", "1048576", *out)
