@@ -159,7 +159,7 @@ def test_near_half_object_blocks_match_kernel_blocks(bits):
 
 
 @pytest.mark.parametrize("bits", [32, 48, 96])
-@pytest.mark.parametrize("x", [1, 24, xs.SUB_BLOCK + 1, 47_109])
+@pytest.mark.parametrize("x", [1, 24, xs._WORD_SLICE + 1, xs.SUB_BLOCK + 1, 47_109])
 def test_near_half_count_matches_scalar_reference(x, bits):
     # at 32 bits and x = 47109 the mantissa margin of n = 24108 is T - 1,
     # inside the flag zone, so a prefilter margin that is too tight shows

@@ -62,9 +62,15 @@ class TestNearestSquareRoot:
             assert all(abs(p - z * z) >= d for z in range(0, 80))
 
 
-# int64 kernel sub-blocks: from n = 1, across n = 3810778 (where P_n passes
-# 2^64), and the last one below FD_CAP
-KERNEL_STARTS = (1, 3_810_778 - xs.SUB_BLOCK // 2, xs.FD_CAP - xs.SUB_BLOCK + 1)
+# int64 kernel sub-blocks: from n = 1, and for each of the sub-block and the
+# _frac_words slice widths one across n = 3810778 (where P_n passes 2^64) and
+# one ending at FD_CAP; kernel_block cuts a block at FD_CAP
+KERNEL_STARTS = (1, *(s for w in (xs.SUB_BLOCK, xs._WORD_SLICE)
+                      for s in (3_810_778 - w // 2, xs.FD_CAP - w + 1)))
+
+
+def kernel_block(s):
+    return xs.block_fd(s, min(s + xs.SUB_BLOCK - 1, xs.FD_CAP))
 
 
 class TestNearest:
@@ -88,7 +94,7 @@ class TestNearest:
 
     @pytest.mark.parametrize("s", KERNEL_STARTS)
     def test_kernel_blocks(self, s):
-        f, d = xs.block_fd(s, s + xs.SUB_BLOCK - 1)
+        f, d = kernel_block(s)
         assert f.dtype == np.int64
         self.assert_matches_oracle(s, f, d)
 
@@ -101,7 +107,7 @@ class TestNearest:
     @pytest.mark.parametrize("s", KERNEL_STARTS)
     def test_power_sums_part_reads_the_same_a(self, s):
         """_power_sums_part keeps its own in-place a; its sums are those of _nearest's a."""
-        f, d = xs.block_fd(s, s + xs.SUB_BLOCK - 1)
+        f, d = kernel_block(s)
         a = xs._nearest(f, d)[1].tolist()
         assert mo._power_sums_part((1, 2, 3), s, f, d) == tuple(
             sum(v**k for v in a) for k in (1, 2, 3))

@@ -60,7 +60,8 @@ class TestBlockFd:
     def test_first_block(self):
         assert_exact(1, xs.SUB_BLOCK)
 
-    @pytest.mark.parametrize("edge", [xs.SUB_BLOCK, 3 * xs.SUB_BLOCK, 1 << 16, 7 << 16])
+    @pytest.mark.parametrize("edge", [xs._WORD_SLICE, 3 * xs._WORD_SLICE, xs.SUB_BLOCK,
+                                      3 * xs.SUB_BLOCK, 1 << 16, 7 << 16])
     def test_sub_block_and_chunk_edges(self, edge):
         lo, hi = edge - 40, edge + 40
         seen = []
@@ -78,7 +79,8 @@ class TestBlockFd:
         assert 3_700_000 < n0 < 3_900_000
         assert_exact(n0 - 300, n0 + 300)
 
-    @pytest.mark.parametrize("lo", [10**9, 10**9 + 12345, xs.FD_CAP - xs.SUB_BLOCK + 1])
+    @pytest.mark.parametrize("lo", [10**9, 10**9 + 12345, xs.FD_CAP - xs._WORD_SLICE + 1,
+                                    xs.FD_CAP - xs.SUB_BLOCK + 1])
     def test_spot_blocks_up_to_cap(self, lo):
         assert_exact(lo, min(lo + 255, xs.FD_CAP))
 
@@ -208,6 +210,7 @@ class TestScan:
         assert _plain(serial) == _plain(pooled)
 
     @pytest.mark.parametrize("hi, chunk, start_n", [(1000, 37, 46),
+                                                    (2 * xs._WORD_SLICE + 100, 5000, 3),
                                                     (2 * xs.SUB_BLOCK + 100, 5000, 3),
                                                     (10, 100, 10)])
     def test_spans_tile_the_range_and_fold_to_the_scan_total(self, hi, chunk, start_n):

@@ -335,7 +335,7 @@ class TestSandwich:
         assert abs(mo.sandwich(10**5, 1, 10).rel_width - 0.33335164170450077) < 1e-12
         assert abs(mo.sandwich(10**5, 1, 100).rel_width - 0.039195276351484905) < 1e-12
 
-    @pytest.mark.parametrize("x", [24, 3000, 3 * xs.SUB_BLOCK + 5])
+    @pytest.mark.parametrize("x", [24, 3000, 3 * xs._WORD_SLICE + 5, 3 * xs.SUB_BLOCK + 5])
     @pytest.mark.parametrize("k, L", [(1, 2), (2, 10), (5, 1000)])
     def test_equals_per_bin_reference(self, x, k, L):
         r = mo.sandwich(x, k, L)

@@ -17,8 +17,11 @@ from test_kernel import assert_exact, first_index_past_2_64, reference_fd
 
 
 def _full_block_starts():
+    # full sub-blocks, and the blocks at the _frac_words slice width across
+    # n0 and up to FD_CAP, where the test cuts the sub-block at the cap
     n0 = first_index_past_2_64()
-    return [1, n0 - xs.SUB_BLOCK // 2, 10**9, xs.FD_CAP - xs.SUB_BLOCK + 1]
+    return [1, 10**9, *(s for w in (xs.SUB_BLOCK, xs._WORD_SLICE)
+                        for s in (n0 - w // 2, xs.FD_CAP - w + 1))]
 
 
 @settings(max_examples=40, deadline=None)
@@ -72,7 +75,7 @@ def test_step_fixes_the_rejected_indices(monkeypatch, fallbacks, lo, shift):
 
 @pytest.mark.parametrize("lo", _full_block_starts())
 def test_full_sub_blocks_take_no_fallback(fallbacks, lo):
-    assert_exact(lo, lo + xs.SUB_BLOCK - 1)
+    assert_exact(lo, min(lo + xs.SUB_BLOCK - 1, xs.FD_CAP))
     assert fallbacks == []
 
 
