@@ -314,7 +314,7 @@ def _terms_text(is_csv: bool, s: int, f, d) -> tuple[list[str]]:
     "f": ..., "side": side}: in CSV no field needs quoting and each line
     ends in CRLF; in JSON "n" is a bare int, the other fields strings, and
     each row is led by a comma and a newline, which _framed drops before
-    the first row.  Module-level, so a pool can pickle it.
+    the first row.
 
     Each int64 kernel sub-block is formatted whole in numpy by _vector_rows:
     every integer becomes base-10^4 digit groups looked up in the one word

@@ -36,13 +36,13 @@ from __future__ import annotations
 import math
 import operator
 import os
-from collections import deque
+import pickle
+import signal
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from itertools import chain, islice
-from multiprocessing import get_context
+from itertools import chain, count, islice
 from typing import Iterator
 
 import numpy as np
@@ -50,11 +50,10 @@ import numpy as np
 DEFAULT_BITS = 96
 FD_CAP = 10**10      # last index the vector (f, d) kernel accepts; see block_fd
 SUB_BLOCK = 1 << 13  # indices per kernel call, which bounds its transient arrays
-CHUNK = 1 << 16      # default indices per span (--chunk): one pool task, one terms span
+CHUNK = 1 << 16      # default indices per span (--chunk): one worker item, one terms span
 # largest histogram bin count, which sizes the histogram's one bin array; it
 # also caps the sandwich's L/2, as input validation far below distance_bins' L < 2^53
 MAX_BINS = 1 << 20
-POOL_WINDOW = 4      # outstanding tasks per pool process in ordered_map
 
 
 class Side(Enum):
@@ -310,32 +309,88 @@ def fd_blocks(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
 
 
 def ordered_map(fn, items, workers: int = 1) -> Iterator:
-    """fn(item) for each item, in item order; a pool of up to `workers` processes runs them.
+    """fn(item) for each item, in item order; up to `workers` forked processes run them.
 
     items may be a generator: it is read lazily, so memory does not grow
-    with the item count.  The pool is capped at the item count (of the
+    with the item count.  The workers are capped at the item count (of the
     first `workers` items peeked) and the CPU count; capped at one process
-    (one item, or one CPU) it runs in-process and starts no pool.  At most
-    POOL_WINDOW tasks per process are outstanding, so a slow consumer holds
-    back the items drawn instead of letting finished results pile up.
-    Results do not depend on the pool's size.
+    (one item, or one CPU), or where os.fork does not exist (the pool is
+    POSIX-only), it runs in-process and forks nothing.  Results do not
+    depend on the number of workers.
+
+    Worker w of P inherits fn and the item stream by fork and runs fn on
+    items w, w+P, w+2P, ... of it, so every worker iterates `items`, which
+    must therefore be deterministic and free of side effects.  Only the
+    results cross a process boundary: each worker pickles them into its
+    own pipe, and the parent reads the pipes in turn, which is item order.
+    A worker blocks on its full pipe, so it runs at most one result and a
+    pipe buffer ahead of the consumer.  An exception in fn is raised here
+    when its item's turn comes; a worker that ends without its end marker
+    raises RuntimeError rather than cutting the results short.  Every
+    worker is killed and reaped when the results end, fail or are closed,
+    so none outlives the call and their CPU time counts as the caller's
+    RUSAGE_CHILDREN.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     items = iter(items)
     head = list(islice(items, workers))
-    processes = min(len(head), os.cpu_count() or 1)
-    if processes > 1:
-        with get_context().Pool(processes) as pool:
-            pending = deque()
-            for item in chain(head, items):
-                pending.append(pool.apply_async(fn, (item,)))
-                if len(pending) == POOL_WINDOW * processes:
-                    yield pending.popleft().get()
-            while pending:
-                yield pending.popleft().get()
-    else:
-        yield from map(fn, chain(head, items))
+    items = chain(head, items)
+    processes = min(len(head), os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    if processes <= 1:
+        yield from map(fn, items)
+        return
+    pids, pipes = [], []
+    try:
+        for w in range(processes):
+            r, wr = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker: it never returns into the caller's code
+                try:
+                    # no read end stays open here, so the pipe breaks once the parent is gone
+                    os.close(r)
+                    for pipe in pipes:
+                        pipe.close()
+                    _pool_worker(fn, islice(items, w, None, processes), wr)
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+            os.close(wr)
+            pipes.append(open(r, "rb"))
+        for k in count():
+            try:
+                message = pickle.load(pipes[k % processes])
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"pool worker {pids[k % processes]} ended without "
+                                   f"its end marker before item {k}") from None
+            if message is None:
+                return
+            if not isinstance(message, tuple):
+                raise message
+            yield message[0]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _pool_worker(fn, items, fd: int) -> None:
+    """ordered_map's worker: (fn(item),) for each item, pickled into pipe fd,
+    then the end marker None, or the exception fn or items raised in its place."""
+    with open(fd, "wb") as out:
+        try:
+            for item in items:
+                out.write(pickle.dumps((fn(item),), pickle.HIGHEST_PROTOCOL))
+                out.flush()
+            out.write(pickle.dumps(None))
+        except BaseException as exc:
+            try:
+                message = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
+            except Exception:
+                message = pickle.dumps(RuntimeError(repr(exc)))
+            out.write(message)
 
 
 def spans(fn, hi: int, workers: int = 1, chunk: int = CHUNK, start_n: int = 1) -> Iterator:
@@ -346,11 +401,11 @@ def spans(fn, hi: int, workers: int = 1, chunk: int = CHUNK, start_n: int = 1) -
     are folded into the part of their span in place (operator.iadd), so
     ints add, numpy arrays add into the first one and lists extend it.
     A component is never a tuple, since tuple + tuple concatenates where
-    addition is meant.  fn is pickled into the pool, so it is a
-    module-level function or a functools.partial of one.
+    addition is meant.  Pool workers inherit fn by fork and pickle only
+    the parts they return.
 
     [start_n, hi] is cut lazily into spans of at most `chunk` indices, so
-    no list of spans is built, and ordered_map folds each span in a pool
+    no list of spans is built, and ordered_map folds each span in one
     of up to `workers` processes; each part comes back with the span it
     folded (_fold_span), so the spans are cut once.  This is the one span
     walk: scan folds its parts into a total, and the terms command writes

@@ -89,3 +89,21 @@ def a351830():
             values[int(n)] = int(a)
     assert len(values) == 100
     return values
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the workers exactseq.ordered_map forks, recorded by a
+    counting os.fork, at two CPUs whatever the machine has."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(xs.os, "fork", fork)
+    monkeypatch.setattr(xs.os, "cpu_count", lambda: 2)
+    return pids

@@ -184,28 +184,8 @@ def test_discrepancy_checks_K_before_the_points(monkeypatch, capsys, argv, messa
     assert captured.out == ""
 
 
-def test_pool_capped_at_cpu_count(monkeypatch, tmp_path):
-    # a fake pool records its size: --workers 5000 must never ask for 5000 processes
-    sizes = []
-
-    class FakePool:
-        def __init__(self, n):
-            sizes.append(n)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def apply_async(self, fn, args):
-            result = fn(*args)
-            return type("Done", (), {"get": lambda self: result})()
-
-    class FakeContext:
-        Pool = FakePool
-
-    monkeypatch.setattr(exactseq, "get_context", FakeContext)
+def test_pool_capped_at_cpu_count(forked, monkeypatch, tmp_path):
+    # a counting fork records each worker: --workers 5000 must never ask for 5000 processes
     argv = ["terms", "--range", "1:1000", "--chunk", "10"]
     assert cli.main(argv + ["--output", str(tmp_path / "serial.csv")]) == 0
     for cpus, want in ((3, 3), (None, 1)):
@@ -213,7 +193,7 @@ def test_pool_capped_at_cpu_count(monkeypatch, tmp_path):
         out = tmp_path / f"pool{want}.csv"
         assert cli.main(argv + ["--workers", "5000", "--output", str(out)]) == 0
         assert out.read_bytes() == (tmp_path / "serial.csv").read_bytes()
-    assert sizes == [3]  # with no CPU count the run is in-process: no pool
+    assert len(forked) == 3  # with no CPU count the run is in-process: no fork
 
 
 @pytest.mark.parametrize("module, name, argv", [

@@ -6,7 +6,12 @@ cap and at the edges where the kernel's arithmetic changes: sub-block and
 chunk boundaries, the P_n > 2^64 crossing, and the cap itself.
 """
 
+import contextlib
 import math
+import os
+import resource
+import signal
+import sys
 import time
 
 import numpy as np
@@ -267,6 +272,48 @@ class TestSnapshots:
             mo.power_sums_at(points, (1,), start_n=start_n, init=(0,))
 
 
+BIG = 256 * 1024  # bytes per result: more than a pipe buffer holds
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError inside the block once it has run `seconds`, so a hang fails the test."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def appender(tmp_path):
+    """appender(name) -> (record, count): record(i) appends a line to a file
+    from any process (O_APPEND), count() reads how many lines it holds."""
+    fds = []
+
+    def make(name):
+        path = tmp_path / name
+        fds.append(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND))
+        fd = fds[-1]
+        return (lambda i: os.write(fd, b"%d\n" % i)), (lambda: path.read_bytes().count(b"\n"))
+
+    yield make
+    for fd in fds:
+        os.close(fd)
+
+
+def assert_reaped(pids):
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 class TestOrderedMap:
     def test_results_in_item_order(self):
         items = list(range(30))
@@ -278,50 +325,140 @@ class TestOrderedMap:
             list(xs.ordered_map(abs, [1, 2], 0))
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_items_read_lazily(self, workers):
+    def test_items_read_lazily(self, forked, appender, workers):
         """The first result arrives long before a generator of items is
-        exhausted, so no list of items is built (the pool reads a bounded
-        distance ahead)."""
-        drawn = []
+        exhausted, so no list of items is built.  The workers draw the items
+        themselves, so each draw is recorded in a file; with results larger
+        than a pipe buffer every worker soon blocks on its pipe."""
+        record, drawn = appender("drawn")
 
         def items(n=10**6):
             for i in range(n):
-                drawn.append(i)
-                yield -i
+                record(i)
+                yield i
 
-        results = xs.ordered_map(abs, items(), workers)
-        assert next(results) == 0
-        assert len(drawn) < 10**5
+        results = xs.ordered_map(lambda i: bytes(BIG), items(), workers)
+        with deadline(60):
+            assert len(next(results)) == BIG
+            assert drawn() < 10**5
         results.close()
 
-    def test_slow_consumer_holds_back_the_items(self):
-        """With a consumer slower than the pool, at most POOL_WINDOW tasks per
-        process are outstanding: the items drawn stay within that window of
-        the results consumed instead of running ahead of them."""
-        drawn = []
+    def test_slow_consumer_holds_back_the_items(self, forked, appender):
+        """With a consumer slower than the workers, each worker blocks on its
+        full pipe: the items fn has started stay within two per worker of the
+        results consumed instead of running ahead of them."""
+        record, started = appender("started")
 
-        def items():
-            for i in range(200):
-                drawn.append(i)
-                yield -i
+        def fn(i):
+            record(i)
+            return bytes(BIG)
 
         ahead = []
-        for consumed, result in enumerate(xs.ordered_map(abs, items(), 2), 1):
-            assert result == consumed - 1
-            ahead.append(len(drawn) - consumed)
-            time.sleep(0.002)
-        assert max(ahead) < 2 * xs.POOL_WINDOW
+        with deadline(60):
+            for consumed, result in enumerate(xs.ordered_map(fn, range(200), 2), 1):
+                assert len(result) == BIG
+                ahead.append(started() - consumed)
+                time.sleep(0.002)
+        assert started() == 200
+        assert max(ahead) <= 2 * 2
 
     @pytest.mark.parametrize("cpus", [1, None])
     def test_one_cpu_runs_in_process(self, monkeypatch, cpus):
-        class NoPool:
-            def Pool(self, processes):
-                raise AssertionError(f"a pool of {processes} was started")
+        def no_fork():
+            raise AssertionError("a worker was forked")
 
-        monkeypatch.setattr(xs, "get_context", NoPool)
+        monkeypatch.setattr(xs.os, "fork", no_fork)
         monkeypatch.setattr(xs.os, "cpu_count", lambda: cpus)
         assert list(xs.ordered_map(abs, [-i for i in range(10)], 4)) == list(range(10))
 
     def test_single_item_runs_in_process(self, monkeypatch):
-        monkeypatch.setattr(xs, "get_context", None)  # any pool would fail
+        def no_fork():
+            raise AssertionError("a worker was forked")
+
+        monkeypatch.setattr(xs.os, "fork", no_fork)
         assert list(xs.ordered_map(abs, iter([-3]), 2)) == [3]
+
+    def test_no_fork_runs_in_process(self, monkeypatch):
+        monkeypatch.delattr(xs.os, "fork")
+        monkeypatch.setattr(xs.os, "cpu_count", lambda: 2)
+        assert list(xs.ordered_map(abs, [-i for i in range(10)], 2)) == list(range(10))
+
+    @pytest.mark.parametrize("k", [0, 1, 7])
+    def test_exception_raised_at_its_item(self, forked, k):
+        def fn(i):
+            if i == k:
+                raise ValueError(str(i))
+            return i
+
+        results = []
+        with deadline(30), pytest.raises(ValueError, match=f"^{k}$"):
+            for result in xs.ordered_map(fn, range(40), 2):
+                results.append(result)
+        assert results == list(range(k))
+        assert_reaped(forked)
+
+    def test_unpicklable_exception_arrives_as_its_repr(self, forked):
+        class Local(Exception):
+            pass
+
+        def fn(i):
+            if i == 3:
+                raise Local("item 3")
+            return i
+
+        results = []
+        with deadline(30), pytest.raises(RuntimeError, match=r"Local\('item 3'\)"):
+            for result in xs.ordered_map(fn, range(10), 2):
+                results.append(result)
+        assert results == [0, 1, 2]
+        assert_reaped(forked)
+
+    @pytest.mark.parametrize("k", [0, 4, 5])
+    def test_worker_lost_without_its_marker_raises(self, forked, k):
+        """A worker that dies (here by os._exit inside fn; in the field by the
+        OOM killer) ends the results with RuntimeError, neither cut short
+        silently nor hanging."""
+        def fn(i):
+            if i == k:
+                os._exit(0)
+            return i
+
+        results = []
+        with deadline(30), pytest.raises(RuntimeError, match="without its end marker"):
+            for result in xs.ordered_map(fn, range(40), 2):
+                results.append(result)
+        assert results == list(range(k))
+        assert_reaped(forked)
+
+    def test_closed_results_leave_no_worker(self, forked):
+        results = xs.ordered_map(abs, range(10**6), 2)
+        with deadline(30):
+            assert next(results) == 0
+            results.close()
+        assert_reaped(forked)
+
+    def test_terms_into_a_closed_pipe_leaves_no_worker(self, forked, monkeypatch):
+        """`terms ... | head`: the reader goes away, the run ends with status
+        0, and the workers are gone when main returns."""
+        from cannonball import cli
+
+        r, w = os.pipe()
+        os.close(r)
+        with open(w, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            with deadline(60):
+                assert cli.main(["terms", "--range", "1:300000", "--chunk", "4096",
+                                 "--workers", "2"]) == 0
+            assert_reaped(forked)
+
+    def test_worker_cpu_counted_as_children(self, forked):
+        def children_cpu():
+            usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+            return usage.ru_utime + usage.ru_stime
+
+        before = children_cpu()
+        with deadline(60):
+            pooled = mo.power_sums(2 * 10**6, (1, 2), workers=2, chunk=1 << 14)
+        assert children_cpu() > before
+        assert_reaped(forked)
+        assert pooled == mo.power_sums(2 * 10**6, (1, 2))

@@ -13,10 +13,15 @@ file.  A summary line per case and tree gives the medians and says whether
 every hash of the case agrees.  The exit status is 1 if a run fails or the
 hashes differ.  This is a measurement, not a gate.
 
+The first line is the parallelism probe to read beside the `--workers 2`
+rows: the wall time, interpreter start included, of a 5e6-step Python
+loop run alone and of each of two such loops run at once.  Two at once
+near the time alone means two usable cores; near twice it, about one.
+
 On Linux a child's peak RSS starts from the RSS of the process that spawned
 it, carried over across exec.  This launcher imports nothing but the
-standard library (no numpy), so what it carries over, about 10 MB, stays
-below every value it measures.
+standard library (no numpy) and hashes each output in 1 MiB reads, so
+what it carries over, about 10 MB, stays below every value it measures.
 """
 
 from __future__ import annotations
@@ -35,8 +40,34 @@ CASES = (
     ("discrepancy", "--x", "1000000", "--K", "100"),
     ("weyl", "--x", "1000000", "--m-max", "10"),
     ("knbound", "--x", "1000000", "--m-max", "5"),
+    ("moments", "--x", "100000000", "--k", "1", "--workers", "2"),
+    ("terms", "--range", "1:1000000", "--workers", "2"),
 )
 PAIRS = 3
+LOOP = "for _ in range(5000000): pass"
+
+
+def parallelism_probe() -> str:
+    """The probe line: LOOP's wall time alone, then of each of two run at once."""
+    walls = []
+    for width in (1, 2):
+        t0 = time.perf_counter()
+        pids = [os.posix_spawn(sys.executable, [sys.executable, "-c", LOOP], os.environ)
+                for _ in range(width)]
+        while pids:
+            pids.remove(os.wait()[0])
+            walls.append(time.perf_counter() - t0)
+    return (f"parallelism probe: {walls[0]:.2f}s alone, "
+            f"{walls[1]:.2f}s and {walls[2]:.2f}s two at once")
+
+
+def sha256(path: Path) -> str:
+    """The file's sha256, read 1 MiB at a time, so no output is held whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def run(tree: Path, args: tuple, out: Path) -> tuple[int, float, float, float, str]:
@@ -47,7 +78,7 @@ def run(tree: Path, args: tuple, out: Path) -> tuple[int, float, float, float, s
     pid = os.posix_spawn(sys.executable, argv, env)
     _, status, usage = os.wait4(pid, 0)
     wall = time.perf_counter() - t0
-    digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "-"
+    digest = sha256(out) if out.exists() else "-"
     return (os.waitstatus_to_exitcode(status), wall, usage.ru_utime + usage.ru_stime,
             usage.ru_maxrss / 1024, digest)
 
@@ -59,6 +90,7 @@ def main(argv: list[str]) -> int:
     trees = {"BASE": Path(argv[1]).resolve(), "HEAD": HEAD}
     runs = {}  # (case, tree name) -> list of run tuples
     failed = False
+    print(parallelism_probe(), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         for pair in range(PAIRS):
