@@ -43,6 +43,15 @@ FILE only when complete: on any error the .tmp file is removed and an
 existing FILE keeps its bytes.  A reader that closes stdout early
 (`| head`) ends the run quietly, with status 0.
 
+Two tables say what each run may hold: _FLAGS has one row per flag, keyed
+by the RunConfig field it fills (--range fills lo and hi), with its
+option string and argparse keywords, and _HANDLERS one row per command,
+with its handler, its help and the fields it reads.  build_parser builds
+every subparser from them, and RunConfig.__post_init__ checks every
+config, from flags or built in code, against them: a field the command
+needs must be set, a field it does not read must keep its default, and
+integer fields must hold ints, each refusal naming the flag.
+
 Exit status: 0 on success, 2 for bad input (a request too large for
 memory included), 3 for a checkpoint written by another configuration, 4
 when a result fails its own self-check (the sandwich bracket or the
@@ -106,30 +115,41 @@ class RunConfig:
     checkpoint_every: int = _CHECKPOINT_EVERY
 
     def __post_init__(self):
-        """Refuse a field the command reads left at None, range-check each flag
-        the library cannot name, and check --out, before any work.
+        """Check the config against the command's row of _HANDLERS, before any work.
 
-        Each message names the flag.  An unset out_format becomes csv, or
-        json for optimize, the one format it writes.  Every other bound
-        (bits, bins, L, k, K >= 1) is the library's own check, with the
-        library's message.  optimize reads k in preset mode only."""
-        fields = _HANDLERS.get(self.command, (None, ()))[1]
+        A field the command reads with no default must be set, a field it
+        does not read must keep its default, an integer field (lo, hi and
+        each of xs too) must hold an int, bools refused, and the bounds the
+        library cannot name are checked here.  Each message names the flag,
+        from _FLAGS.  An unset out_format becomes csv, or json for optimize,
+        the one format it writes.  Every other bound (bits, bins, L, k, K >=
+        1) is the library's own check, with the library's message.  optimize
+        reads k in preset mode only.  An unknown command is left to run."""
+        fields, needed = _HANDLERS.get(self.command, (None, None, _FLAGS, ()))[2:]
         if self.command == "optimize" and self.preset:
-            fields += ("k",)
-        for name in fields:
-            if getattr(self, name) is None:
-                flag = "--range" if name in ("lo", "hi") else "--" + name.replace("_", "-")
-                raise ValueError(f"{self.command} needs {flag}")
+            needed += ("k",)
+        taken = {_FLAGS[name][0] for name in fields}
         cap, inf = equidist.MAX_HARMONIC, math.inf
-        ranges = (("workers", 1, inf), ("chunk", 1, inf), ("checkpoint_every", 1, inf),
-                  ("K", -inf, cap), ("m_max", 1, cap),
-                  ("x", 2 if self.command == "knbound" else 1, inf))  # kn_bound needs lo < hi
-        for name, low, high in ranges:
-            value = getattr(self, name)
-            if value is not None and not low <= value <= high:
-                flag = "--" + name.replace("_", "-")
-                bound = f">= {low}" if value < low else f"<= {high}"
-                raise ValueError(f"{flag} must be {bound}, got {value}")
+        ranges = {"workers": (1, inf), "chunk": (1, inf), "checkpoint_every": (1, inf),
+                  "K": (-inf, cap), "m_max": (1, cap),
+                  "x": (2 if self.command == "knbound" else 1, inf)}  # kn_bound needs lo < hi
+        for name, (flag, keywords) in _FLAGS.items():
+            value, default = getattr(self, name), self.__dataclass_fields__[name].default
+            if value is None and name in needed:
+                raise ValueError(f"{self.command} needs {flag}")
+            if name == "out_format" or value is None and default is None:
+                continue
+            if flag not in taken and value != default:
+                raise ValueError(f"{self.command} does not take {flag}")
+            if keywords.get("type") not in (int, _parse_range) and name != "xs":
+                continue
+            low, high = ranges.get(name, (-inf, inf))
+            for v in value if name == "xs" else (value,):
+                if type(v) is not int:
+                    raise ValueError(f"{flag} must be an integer, got {v!r}")
+                if not low <= v <= high:
+                    bound = f">= {low}" if v < low else f"<= {high}"
+                    raise ValueError(f"{flag} must be {bound}, got {v}")
         formats = ("json",) if self.command == "optimize" else ("csv", "json")
         if self.out_format is None:
             object.__setattr__(self, "out_format", formats[0])
@@ -584,20 +604,70 @@ def _cmd_fit(cfg: RunConfig):
     return rows
 
 
-# each command's handler, and the RunConfig fields it reads that have no default
+def _parse_range(text: str) -> tuple[int, int]:
+    lo, _, hi = text.partition(":")
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"--range expects LO:HI, got {text!r}")
+
+
+# every flag, once, keyed by the RunConfig field it fills: its option string
+# and argparse keywords.  --range fills lo and hi.
+_RANGE = ("--range", dict(type=_parse_range, required=True, metavar="LO:HI"))
+_FLAGS = {
+    "x": ("--x", dict(type=int, required=True, help="last index: the command covers n = 1..x")),
+    "lo": _RANGE,
+    "hi": _RANGE,
+    "k": ("--k", dict(type=int, default=1, help="moment order (default 1)")),
+    "L": ("--L", dict(type=int, required=True, help="even bin count")),
+    "K": ("--K", dict(type=int, help="also compute the truncated sum bound")),
+    "bins": ("--bins", dict(type=int, default=20)),
+    "m_max": ("--m-max", dict(type=int, default=5,
+                              help="last harmonic: m = 1..m_max (default 5)")),
+    "bits": ("--bits", dict(type=int, default=exactseq.DEFAULT_BITS,
+                            help="fixed-point precision of fractional parts (32 to 96)")),
+    "xs": ("--xs", dict(required=True,
+                        help="comma-separated snapshot points, e.g. 1000,10000,100000")),
+    "expr": ("--expr", dict(help='e.g. "F=x:5/2,K:-1/2;G=x:19/8,K:1/4"')),
+    "var": ("--var", dict(help="variable to balance")),
+    "preset": ("--preset", dict(choices=["moment-residual"], help="built-in balancing chain")),
+    "workers": ("--workers", dict(type=int, default=None,
+                                  help=f"worker processes (default ${ENV_WORKERS} or 1)")),
+    "chunk": ("--chunk", dict(type=int, default=exactseq.CHUNK,
+                              help="index-range granularity for work splitting")),
+    "out_format": ("--out", dict(choices=["csv", "json"], default="csv", dest="out_format",
+                                 help="output format (default csv)")),
+    "output": ("--output", dict(help="write to this path instead of stdout")),
+    "checkpoint_path": ("--checkpoint", dict(help="checkpoint file for kill-resume")),
+    "checkpoint_every": ("--checkpoint-every", dict(type=int, default=_CHECKPOINT_EVERY,
+                                                    help="indices between checkpoints")),
+}
+_OUT = ("output", "out_format")
+_SCAN = _OUT + ("workers", "chunk")
+# each command: its handler, its help, the fields it reads (its flags, in
+# --help order) and those of them with no default
 _HANDLERS = {
-    "terms": (_cmd_terms, ("lo", "hi")),
-    "moments": (_cmd_moments, ("x", "k")),
-    "average": (_cmd_average, ("x",)),
-    "sandwich": (_cmd_sandwich, ("x", "k", "L")),
-    "discrepancy": (_cmd_discrepancy, ("x",)),
-    "weyl": (_cmd_weyl, ("x", "m_max")),
-    "knbound": (_cmd_knbound, ("x", "m_max")),
-    "exceptional": (_cmd_exceptional, ("x",)),
-    "nearhalf": (_cmd_nearhalf, ("x",)),
-    "histogram": (_cmd_histogram, ("x", "bins")),
-    "optimize": (_cmd_optimize, ()),
-    "fit": (_cmd_fit, ("k", "xs")),
+    "terms": (_cmd_terms, "resolved sequence elements", _SCAN + ("lo",), ("lo", "hi")),
+    "moments": (_cmd_moments, "exact k-th moment",
+                _SCAN + ("x", "k", "checkpoint_path", "checkpoint_every"), ("x", "k")),
+    "average": (_cmd_average, "exact average A(x)", _SCAN + ("x",), ("x",)),
+    "sandwich": (_cmd_sandwich, "rigorous moment bracketing", _SCAN + ("x", "k", "L"),
+                 ("x", "k", "L")),
+    "discrepancy": (_cmd_discrepancy, "star discrepancy of the fractional parts",
+                    _OUT + ("bits", "x", "K"), ("x",)),
+    "weyl": (_cmd_weyl, "normalized Weyl sums", _OUT + ("bits", "x", "m_max"), ("x", "m_max")),
+    "knbound": (_cmd_knbound, "second-derivative bounds against computed sums",
+                _OUT + ("bits", "x", "m_max"), ("x", "m_max")),
+    "exceptional": (_cmd_exceptional, "scan for nearest-square/nearest-integer disagreement",
+                    _SCAN + ("x",), ("x",)),
+    "nearhalf": (_cmd_nearhalf, "count fractional parts within x^(-3/4) of 1/2",
+                 _SCAN + ("bits", "x"), ("x",)),
+    "histogram": (_cmd_histogram, "distance histogram over [0, 1/2]", _SCAN + ("x", "bins"),
+                  ("x", "bins")),
+    "optimize": (_cmd_optimize, "balance a decreasing monomial against increasing ones (JSON)",
+                 ("output", "k", "expr", "var", "preset"), ()),
+    "fit": (_cmd_fit, "log-log slope of moment residuals", _SCAN + ("k", "xs"), ("k", "xs")),
 }
 
 
@@ -623,90 +693,23 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition(":")
-    try:
-        return int(lo), int(hi)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--range expects LO:HI, got {text!r}")
-
-
 # one parser per process, the one main parses with (a build takes 2-5 ms on a
 # 2-vCPU Xeon VM); parse_args leaves the parser as it found it
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of _HANDLERS: one subparser per command, holding the _FLAGS
+    rows of the fields it reads, so no command accepts a flag and ignores it."""
     parser = argparse.ArgumentParser(
         prog="cannonball",
         description="Exact nearest-square distances of square pyramidal numbers: "
                     "sequence terms, moments, equidistribution and balancing tools.")
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--output", help="write to this path instead of stdout")
-    common = argparse.ArgumentParser(add_help=False, parents=[output])
-    common.add_argument("--out", choices=["csv", "json"], default="csv",
-                        dest="out_format", help="output format (default csv)")
-    # each flag is declared once, in a parent of only the commands that read
-    # it, so no other command accepts it and ignores it
-    scan = argparse.ArgumentParser(add_help=False)
-    scan.add_argument("--workers", type=int, default=None,
-                      help=f"worker processes (default ${ENV_WORKERS} or 1)")
-    scan.add_argument("--chunk", type=int, default=exactseq.CHUNK,
-                      help="index-range granularity for work splitting")
-    bits = argparse.ArgumentParser(add_help=False)
-    bits.add_argument("--bits", type=int, default=exactseq.DEFAULT_BITS,
-                      help="fixed-point precision of fractional parts (32 to 96)")
-    x = argparse.ArgumentParser(add_help=False)
-    x.add_argument("--x", type=int, required=True,
-                   help="last index: the command covers n = 1..x")
-    k = argparse.ArgumentParser(add_help=False)
-    k.add_argument("--k", type=int, default=1, help="moment order (default 1)")
-    m_max = argparse.ArgumentParser(add_help=False)
-    m_max.add_argument("--m-max", type=int, default=5,
-                       help="last harmonic: m = 1..m_max (default 5)")
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("terms", parents=[common, scan], help="resolved sequence elements")
-    p.add_argument("--range", type=_parse_range, required=True, metavar="LO:HI")
-
-    p = sub.add_parser("moments", parents=[common, scan, x, k], help="exact k-th moment")
-    p.add_argument("--checkpoint", help="checkpoint file for kill-resume")
-    p.add_argument("--checkpoint-every", type=int, default=_CHECKPOINT_EVERY,
-                   help="indices between checkpoints")
-
-    sub.add_parser("average", parents=[common, scan, x], help="exact average A(x)")
-
-    p = sub.add_parser("sandwich", parents=[common, scan, x, k],
-                       help="rigorous moment bracketing")
-    p.add_argument("--L", type=int, required=True, help="even bin count")
-
-    p = sub.add_parser("discrepancy", parents=[common, bits, x],
-                       help="star discrepancy of the fractional parts")
-    p.add_argument("--K", type=int, help="also compute the truncated sum bound")
-
-    sub.add_parser("weyl", parents=[common, bits, x, m_max], help="normalized Weyl sums")
-    sub.add_parser("knbound", parents=[common, bits, x, m_max],
-                   help="second-derivative bounds against computed sums")
-    sub.add_parser("exceptional", parents=[common, scan, x],
-                   help="scan for nearest-square/nearest-integer disagreement")
-    sub.add_parser("nearhalf", parents=[common, scan, bits, x],
-                   help="count fractional parts within x^(-3/4) of 1/2")
-
-    p = sub.add_parser("histogram", parents=[common, scan, x],
-                       help="distance histogram over [0, 1/2]")
-    p.add_argument("--bins", type=int, default=20)
-
-    # no prefix matching here, or --out would silently mean --output
-    p = sub.add_parser("optimize", parents=[output, k], allow_abbrev=False,
-                       help="balance a decreasing monomial against increasing ones (JSON)")
-    p.add_argument("--expr", help='e.g. "F=x:5/2,K:-1/2;G=x:19/8,K:1/4"')
-    p.add_argument("--var", help="variable to balance")
-    p.add_argument("--preset", choices=["moment-residual"],
-                   help="built-in balancing chain")
-
-    p = sub.add_parser("fit", parents=[common, scan, k],
-                       help="log-log slope of moment residuals")
-    p.add_argument("--xs", required=True,
-                   help="comma-separated snapshot points, e.g. 1000,10000,100000")
+    for command, (_, text, fields, _) in _HANDLERS.items():
+        # no prefix matching for optimize, or --out would silently mean --output
+        p = sub.add_parser(command, help=text, allow_abbrev=command != "optimize")
+        for name in fields:
+            option, keywords = _FLAGS[name]
+            p.add_argument(option, **keywords)
     return parser
 
 

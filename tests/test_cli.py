@@ -537,6 +537,28 @@ LONG_OPTIONS = {
     "fit": ["--chunk", "--help", "--k", "--out", "--output", "--workers", "--xs"],
 }
 X_COMMANDS = [c for c, options in LONG_OPTIONS.items() if "--x" in options]
+# a library-built config each command accepts: the fields it needs, set
+VALID = {
+    "terms": dict(lo=1, hi=2), "moments": dict(x=10, k=1), "average": dict(x=10),
+    "sandwich": dict(x=10, k=1, L=2), "discrepancy": dict(x=10), "weyl": dict(x=10, m_max=2),
+    "knbound": dict(x=10, m_max=2), "exceptional": dict(x=10), "nearhalf": dict(x=10),
+    "histogram": dict(x=10, bins=4), "optimize": dict(preset="moment-residual", k=2),
+    "fit": dict(k=1, xs=(10,)),
+}
+# every RunConfig field a flag fills, but out_format (checked by --out's own
+# rule): its flag, and a valid value other than the field's default
+SET_FIELDS = {
+    "x": ("--x", 20), "lo": ("--range", 3), "hi": ("--range", 4), "k": ("--k", 2),
+    "L": ("--L", 4), "K": ("--K", 3), "bins": ("--bins", 5), "m_max": ("--m-max", 3),
+    "bits": ("--bits", 64), "xs": ("--xs", (10, 20)), "expr": ("--expr", "F=x:1;G=x:2"),
+    "var": ("--var", "x"), "preset": ("--preset", "moment-residual"),
+    "workers": ("--workers", 2), "chunk": ("--chunk", 7), "output": ("--output", "o.csv"),
+    "checkpoint_path": ("--checkpoint", "c.json"), "checkpoint_every": ("--checkpoint-every", 5),
+}
+UNTAKEN = [(c, f) for c in LONG_OPTIONS for f, (flag, _) in SET_FIELDS.items()
+           if flag not in LONG_OPTIONS[c]]
+TAKEN = [(c, f) for c in LONG_OPTIONS for f, (flag, _) in SET_FIELDS.items()
+         if flag in LONG_OPTIONS[c]]
 
 
 class TestFlagRanges:
@@ -586,6 +608,45 @@ class TestFlagRanges:
     ], ids=["moments", "histogram", "weyl", "sandwich", "fit", "terms", "optimize_preset"])
     def test_missing_field_refused_by_its_flag(self, cfg, message):
         # the CLI fills every field; a library-built config is refused, never filled
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cli.RunConfig(**cfg)
+
+    def test_set_fields_cover_run_config(self):
+        fields = set(cli.RunConfig.__dataclass_fields__)
+        assert set(SET_FIELDS) | {"command", "out_format"} == fields
+
+    @pytest.mark.parametrize("command, field", UNTAKEN, ids=[f"{c}-{f}" for c, f in UNTAKEN])
+    def test_field_the_command_does_not_read_refused(self, command, field):
+        # a field its command ignores would otherwise pass without a word
+        flag, value = SET_FIELDS[field]
+        with pytest.raises(ValueError, match=f"^{command} does not take {flag}$"):
+            cli.RunConfig(command, **{**VALID[command], field: value})
+
+    @pytest.mark.parametrize("command, field", TAKEN, ids=[f"{c}-{f}" for c, f in TAKEN])
+    def test_field_the_command_reads_accepted(self, command, field):
+        cfg = cli.RunConfig(command, **{**VALID[command], field: SET_FIELDS[field][1]})
+        assert getattr(cfg, field) == SET_FIELDS[field][1]
+
+    def test_unknown_command_reaches_run(self, capsys):
+        assert cli.run(cli.RunConfig("bogus", x=3)) == 2
+        assert capsys.readouterr().err == "unknown command 'bogus'\n"
+
+    @pytest.mark.parametrize("cfg, message", [
+        (dict(command="moments", x=1e3, k=1), "--x must be an integer, got 1000.0"),
+        (dict(command="moments", x="1000", k=1), "--x must be an integer, got '1000'"),
+        (dict(command="sandwich", x=1000, k=1, L=4.0), "--L must be an integer, got 4.0"),
+        (dict(command="histogram", x=1000, bins=2.5), "--bins must be an integer, got 2.5"),
+        (dict(command="terms", lo=1.0, hi=10), "--range must be an integer, got 1.0"),
+        (dict(command="weyl", x=1000, m_max=2.0), "--m-max must be an integer, got 2.0"),
+        (dict(command="nearhalf", x=1000, bits=64.0), "--bits must be an integer, got 64.0"),
+        (dict(command="moments", x=1000, k=True), "--k must be an integer, got True"),
+        (dict(command="fit", k=1, xs=(1000, 2e3)), "--xs must be an integer, got 2000.0"),
+        (dict(command="moments", x=1000, k=1, workers=None),
+         "--workers must be an integer, got None"),
+    ], ids=["x_float", "x_str", "L", "bins", "range", "m_max", "bits", "bool", "xs", "workers"])
+    def test_integer_field_refused_unless_int(self, cfg, message):
+        # argparse makes these ints at the command line; built in code they
+        # would run as given (x=1e3 writes "1000.0") or end in a TypeError
         with pytest.raises(ValueError, match=f"^{message}$"):
             cli.RunConfig(**cfg)
 

@@ -167,6 +167,28 @@ CASES += [
     ("terms", "--range", "5:4"),
 ]
 
+# the parser's own refusals: a bad value per command, whose message opens with
+# the command's usage line and so pins the order of its flags; an unknown
+# flag per command; prefixes refused (optimize), accepted and ambiguous; and
+# flags of another command
+CASES += [(command, "--x", "ten") for command in (
+    "moments", "average", "sandwich", "discrepancy", "weyl", "knbound", "exceptional",
+    "nearhalf", "histogram")]
+CASES += [("terms", "--range", "ten"), ("optimize", "--k", "ten"), ("fit", "--k", "ten")]
+CASES += [(*args, "--bogus") for args in (
+    ("terms", "--range", "1:2"), ("moments", "--x", "10"), ("average", "--x", "10"),
+    ("sandwich", "--x", "10", "--L", "2"), ("discrepancy", "--x", "10"), ("weyl", "--x", "10"),
+    ("knbound", "--x", "10"), ("exceptional", "--x", "10"), ("nearhalf", "--x", "10"),
+    ("histogram", "--x", "10"), ("optimize",), ("fit", "--xs", "10"))]
+CASES += [
+    ("optimize", "--preset", "moment-residual", "--out", "json"),
+    ("moments", "--x", "1000", "--k", "1", "--wo", "2", "--chu", "4096"),
+    ("moments", "--x", "1000", "--chec", "c.json"),
+    ("sandwich", "--x", "1000", "--k", "1", "--L", "4", "--checkpoint", "c.json"),
+    ("terms", "--range", "1:2", "--x", "5"),
+    ("discrepancy", "--x", "10", "--workers", "2"),
+]
+
 
 def run_case(tree: Path, args, out: Path) -> tuple[int, bytes, bytes]:
     """(exit status, bytes written, stderr) of one CLI run from tree's src/."""

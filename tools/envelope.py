@@ -42,6 +42,12 @@ CASES = (
     ("knbound", "--x", "1000000", "--m-max", "5"),
     ("moments", "--x", "100000000", "--k", "1", "--workers", "2"),
     ("terms", "--range", "1:1000000", "--workers", "2"),
+    # the serial scan rows of the headline table
+    ("moments", "--x", "100000000", "--k", "1"),
+    ("sandwich", "--x", "10000000", "--k", "2", "--L", "100"),
+    ("nearhalf", "--x", "100000000"),
+    ("histogram", "--x", "100000000", "--bins", "20"),
+    ("histogram", "--x", "4000000", "--bins", "1048576", "--out", "json"),
 )
 PAIRS = 3
 LOOP = "for _ in range(5000000): pass"
